@@ -2,14 +2,17 @@
 
 The discriminant group of an even lattice L is carried on the invariant
 factors of its Gram matrix: generators g_i of order d_i (d_1 | d_2 | ...),
-q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z, all exact Fractions in canonical
-residues (q in [0,2), b in [0,1)).
+q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z.  A form is built and read through
+exact Fractions in canonical residues (q in [0,2), b in [0,1)); inside it
+holds integer numerators over the exponent N, q * N mod 2N and b * N mod N,
+and every enumeration and validation loop works on those integers.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,39 +65,86 @@ def _p_valuation(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=1024)
+def _group_tables(orders: tuple) -> tuple:
+    """What isometry validation needs of the invariant factors alone.
+
+    need[i][j] = d_i / gcd(d_i, d_j) must divide entry (i, j) of an
+    endomorphism; blocks lists (p, indices i with p | d_i) per prime p.
+    Forms share these, so the cache is keyed on the orders.
+    """
+    need = tuple(tuple(di // gcd(di, dj) for dj in orders) for di in orders)
+    blocks = tuple(
+        (p, tuple(i for i, di in enumerate(orders) if di % p == 0))
+        for p in _prime_factors(orders[-1] if orders else 1)
+    )
+    return need, blocks
+
+
+@dataclass(frozen=True, init=False)
 class FiniteQuadraticForm:
-    """Finite abelian group with q: A -> Q/2Z and b: A x A -> Q/Z."""
+    """Finite abelian group with q: A -> Q/2Z and b: A x A -> Q/Z.
+
+    It is built from, and read back as, exact Fractions in canonical
+    residues (q_diag, b_mat), and stored as integer numerators over the
+    exponent N: _q[i] = N q(g_i) mod 2N and _b[i][j] = N b(g_i, g_j) mod N.
+    They are exact, because d_i q(g_i) and d_i b(g_i, g_j) are integers and
+    d_i | N.
+    """
 
     orders: tuple  # invariant factors > 1, ascending divisibility chain
-    q_diag: tuple  # Fraction in [0, 2) per generator
-    b_mat: tuple  # Fraction in [0, 1) per generator pair; b_ii == q_i mod 1
+    _q: tuple  # N q(g_i) in [0, 2N) per generator
+    _b: tuple  # N b(g_i, g_j) in [0, N) per generator pair; _b[i][i] == _q[i] mod N
 
-    def __post_init__(self):
-        k = len(self.orders)
+    def __init__(self, orders, q_diag, b_mat):
+        """q_diag: q(g_i) in [0, 2); b_mat: b(g_i, g_j) in [0, 1); both exact."""
+        orders = tuple(orders)
+        k = len(orders)
         for i in range(k - 1):
-            if self.orders[i + 1] % self.orders[i] != 0:
+            if orders[i + 1] % orders[i] != 0:
                 raise LatticeError("invariant factors must form a divisibility chain")
-        if any(d < 2 for d in self.orders):
+        if any(d < 2 for d in orders):
             raise LatticeError("invariant factors must be > 1")
-        if len(self.q_diag) != k or len(self.b_mat) != k:
+        if len(q_diag) != k or len(b_mat) != k:
             raise LatticeError("q/b tables do not match the generator count")
         for i in range(k):
-            qi = self.q_diag[i]
+            qi = q_diag[i]
             if not (0 <= qi < 2):
                 raise LatticeError("q values must be canonical residues in [0, 2)")
-            if (qi * self.orders[i] ** 2) % 2 != 0:
+            if (qi * orders[i] ** 2) % 2 != 0:
                 raise LatticeError("q value incompatible with the generator order")
-            if len(self.b_mat[i]) != k:
+            if len(b_mat[i]) != k:
                 raise LatticeError("b matrix is not square")
-            if self.b_mat[i][i] != qi % 1:
+            if b_mat[i][i] != qi % 1:
                 raise LatticeError("b(g,g) must reduce q(g) mod 1")
             for j in range(k):
-                bij = self.b_mat[i][j]
-                if not (0 <= bij < 1) or bij != self.b_mat[j][i]:
+                bij = b_mat[i][j]
+                if not (0 <= bij < 1) or bij != b_mat[j][i]:
                     raise LatticeError("b must be symmetric with residues in [0, 1)")
-                if (bij * self.orders[i]) % 1 != 0 or (bij * self.orders[j]) % 1 != 0:
+                if (bij * orders[i]) % 1 != 0 or (bij * orders[j]) % 1 != 0:
                     raise LatticeError("b value incompatible with the generator orders")
+        n = orders[-1] if orders else 1
+        q_num = tuple(int(q * n) for q in q_diag)
+        b_num = tuple(tuple(int(b * n) for b in row) for row in b_mat)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "_q", q_num)
+        object.__setattr__(self, "_b", b_num)
+        object.__setattr__(self, "_n", n)
+        # isometries hash their form on every set insertion
+        object.__setattr__(self, "_hash", hash((orders, q_num, b_num)))
+
+    def __hash__(self):
+        return self._hash
+
+    @property
+    def q_diag(self) -> tuple:
+        """q(g_i) as a Fraction in [0, 2), per generator."""
+        return tuple(Fraction(v, self._n) for v in self._q)
+
+    @property
+    def b_mat(self) -> tuple:
+        """b(g_i, g_j) as a Fraction in [0, 1), per generator pair."""
+        return tuple(tuple(Fraction(v, self._n) for v in row) for row in self._b)
 
     @property
     def ngens(self) -> int:
@@ -104,7 +154,7 @@ class FiniteQuadraticForm:
         return prod(self.orders) if self.orders else 1
 
     def exponent(self) -> int:
-        return self.orders[-1] if self.orders else 1
+        return self._n
 
     def is_trivial(self) -> bool:
         return not self.orders
@@ -134,27 +184,34 @@ class FiniteQuadraticForm:
         return o
 
     def q(self, x) -> Fraction:
-        total = Fraction(0)
-        k = self.ngens
-        for i in range(k):
-            if x[i]:
-                total += x[i] * x[i] * self.q_diag[i]
-        for i in range(k):
-            if x[i]:
-                for j in range(i + 1, k):
-                    if x[j]:
-                        total += 2 * x[i] * x[j] * self.b_mat[i][j]
-        return total % 2
+        return Fraction(self._qn(x), self._n)
 
     def b(self, x, y) -> Fraction:
-        total = Fraction(0)
-        k = self.ngens
+        return Fraction(self._bn(x, y), self._n)
+
+    def _qn(self, x) -> int:
+        """N * q(x) mod 2N."""
+        qs, bs = self._q, self._b
+        k = len(qs)
+        total = 0
         for i in range(k):
-            if x[i]:
-                for j in range(k):
-                    if y[j]:
-                        total += x[i] * y[j] * self.b_mat[i][j]
-        return total % 1
+            xi = x[i]
+            if xi:
+                row = bs[i]
+                t = xi * qs[i]
+                for j in range(i + 1, k):
+                    if x[j]:
+                        t += 2 * x[j] * row[j]
+                total += xi * t
+        return total % (2 * self._n)
+
+    def _pairing(self, x) -> tuple:
+        """The integer row x^T B, so that N * b(x, y) = x^T B y mod N."""
+        return tuple(sum(map(operator.mul, x, row)) for row in self._b)
+
+    def _bn(self, x, y) -> int:
+        """N * b(x, y) mod N."""
+        return sum(map(operator.mul, self._pairing(x), y)) % self._n
 
     def negated(self) -> "FiniteQuadraticForm":
         return FiniteQuadraticForm(
@@ -247,32 +304,32 @@ class FqfIsometry:
     matrix: Matrix
 
     def __post_init__(self):
-        k = self.form.ngens
+        form = self.form
+        k = form.ngens
         if k and intmat.shape(self.matrix) != (k, k):
             raise NotIsometry("automorphism matrix has wrong shape")
-        d = self.form.orders
+        d = form.orders
         reduced = tuple(
             tuple(self.matrix[i][j] % d[i] for j in range(k)) for i in range(k)
         )
         object.__setattr__(self, "matrix", reduced)
-        for i in range(k):
-            for j in range(k):
-                need = d[i] // gcd(d[i], d[j])
-                if reduced[i][j] % need != 0:
-                    raise NotIsometry("matrix is not a well-defined endomorphism")
-        for p in _prime_factors(self.form.exponent()):
-            idxs = [i for i in range(k) if d[i] % p == 0]
+        need, blocks = _group_tables(d)
+        for row, need_row in zip(reduced, need):
+            if any(entry % m for entry, m in zip(row, need_row)):
+                raise NotIsometry("matrix is not a well-defined endomorphism")
+        for p, idxs in blocks:
             sub = tuple(tuple(reduced[i][j] for j in idxs) for i in idxs)
             if intmat.det(sub) % p == 0:
                 raise NotIsometry("matrix is not invertible on the group")
-        cols = intmat.columns(reduced) if k else []
+        n = form._n
+        cols = tuple(zip(*reduced))
         for j, col in enumerate(cols):
-            col = self.form.reduce(col)
-            if self.form.q(col) != self.form.q_diag[j]:
+            if form._qn(col) != form._q[j]:
                 raise NotIsometry("matrix does not preserve q")
+            pairing = form._pairing(col)
+            wants = form._b[j]
             for i in range(j):
-                other = self.form.reduce(cols[i])
-                if self.form.b(col, other) != self.form.b_mat[j][i]:
+                if sum(map(operator.mul, pairing, cols[i])) % n != wants[i]:
                     raise NotIsometry("matrix does not preserve b")
 
     def apply(self, x) -> tuple:
@@ -335,11 +392,15 @@ class FqfSubgroup:
     def __iter__(self):
         return iter(self.elements)
 
+    @functools.cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
+
     def __contains__(self, iso: FqfIsometry) -> bool:
-        return iso in set(self.elements)
+        return iso in self._members
 
     def is_subgroup_of(self, other: "FqfSubgroup") -> bool:
-        return self.form == other.form and set(self.elements) <= set(other.elements)
+        return self.form == other.form and self._members <= other._members
 
 
 def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry], max_order: int = 1_000_000) -> FqfSubgroup:
@@ -380,35 +441,87 @@ def _span_elements(form: FiniteQuadraticForm, gens) -> set:
     return span
 
 
-def _image_assignments(form, pool, gen_orders, gen_q, gen_b, span_size):
-    """DFS over tuples of images matching order, q and pairwise b constraints.
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of an integer matrix, by row reduction."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
-    pool: candidate target elements (of `form`); gen_b[i][j] is the required
-    b-value between images i and j.  Yields image tuples whose span has
-    span_size elements.
+
+def _is_injective(form, images, socle) -> bool:
+    """Whether generator i -> images[i] is injective on sum_i Z/e_i.
+
+    A kernel would contain an element of some prime order p, so it is enough
+    that the images of the order-p elements (e_i/p) g_i are independent over
+    F_p.  They lie in the p-torsion of `form`, whose coordinate j is a
+    multiple of d_j/p (and 0 unless p | d_j).  socle: (p, [(i, e_i/p)]).
     """
-    info = {}
+    d = form.orders
+    for p, gens in socle:
+        rows = [
+            [(c * images[i][j] % dj) // (dj // p) for j, dj in enumerate(d) if dj % p == 0]
+            for i, c in gens
+        ]
+        if _rank_mod_p(rows, p) < len(rows):
+            return False
+    return True
+
+
+def _image_assignments(form, pool, gen_orders, gen_q, gen_b):
+    """DFS over injective assignments of images to generators of orders
+    gen_orders, matching element order, q and pairwise b.
+
+    pool: candidate target elements (of `form`); gen_q[i] and gen_b[i][j] are
+    the required q- and b-numerators over the exponent of `form` (N q mod 2N,
+    N b mod N).  Yields image tuples in the lexicographic order of `pool`.
+    Callers pass as many generators as make up the group spanned by the
+    pool, so injective means bijective onto it.
+    """
+    buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
     for x in pool:
-        info[x] = (form.element_order(x), form.q(x))
-    k = len(gen_orders)
-    images = []
+        bucket = buckets.get((form.element_order(x), form._qn(x)))
+        if bucket is not None:
+            bucket.append(x)
+    candidates = [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
+    socle = [
+        (p, [(i, e // p) for i, e in enumerate(gen_orders) if e % p == 0])
+        for p in _prime_factors(functools.reduce(lcm, gen_orders, 1))
+    ]
+    return _place_images(form, candidates, gen_b, socle, [], [])
 
-    def place(i):
-        if i == k:
-            if len(_span_elements(form, images)) == span_size:
-                yield tuple(images)
-            return
-        for x in pool:
-            o, qx = info[x]
-            if o != gen_orders[i] or qx != gen_q[i]:
-                continue
-            if any(form.b(x, images[j]) != gen_b[i][j] for j in range(i)):
-                continue
+
+def _place_images(form, candidates, gen_b, socle, images, pairings):
+    # A module-level generator, not a closure: a closure that calls itself
+    # is a reference cycle, and it would keep `candidates` alive until the
+    # cyclic collector runs.
+    i = len(images)
+    if i == len(candidates):
+        if _is_injective(form, images, socle):
+            yield tuple(images)
+        return
+    n = form._n
+    wants = gen_b[i]
+    for x in candidates[i]:
+        for pairing, want in zip(pairings, wants):
+            if sum(map(operator.mul, x, pairing)) % n != want:
+                break
+        else:
             images.append(x)
-            yield from place(i + 1)
+            pairings.append(form._pairing(x))
+            yield from _place_images(form, candidates, gen_b, socle, images, pairings)
             images.pop()
-
-    yield from place(0)
+            pairings.pop()
 
 
 def _aut_direct(form: FiniteQuadraticForm) -> list:
@@ -416,9 +529,7 @@ def _aut_direct(form: FiniteQuadraticForm) -> list:
         return [FqfIsometry.identity(form)]
     pool = sorted(form.elements())
     out = []
-    for images in _image_assignments(
-        form, pool, form.orders, form.q_diag, form.b_mat, form.order()
-    ):
+    for images in _image_assignments(form, pool, form.orders, form._q, form._b):
         out.append(FqfIsometry.from_images(form, images))
     return out
 
@@ -439,11 +550,9 @@ def _aut_primary(form: FiniteQuadraticForm) -> list:
             coords[i] = form.orders[i] // q
             hgens.append(tuple(coords))
         pool = sorted(_span_elements(form, hgens))
-        gen_b = [[form.b(hgens[i], hgens[j]) for j in range(len(hgens))] for i in range(len(hgens))]
-        gen_q = [form.q(h) for h in hgens]
-        sigmas = list(
-            _image_assignments(form, pool, pe, gen_q, gen_b, len(pool))
-        )
+        gen_b = [[form._bn(g, h) for h in hgens] for g in hgens]
+        gen_q = [form._qn(h) for h in hgens]
+        sigmas = list(_image_assignments(form, pool, pe, gen_q, gen_b))
         blocks.append((p, idxs, pe, sigmas))
     # CRT idempotents stitch the per-prime automorphisms back together
     idem = {}
@@ -513,7 +622,7 @@ def isotropic_elements(form: FiniteQuadraticForm, d: int, budget: Optional[int] 
     if form.exponent() % d != 0:
         return []
     return sorted(
-        x for x in form.elements() if form.element_order(x) == d and form.q(x) == 0
+        x for x in form.elements() if form.element_order(x) == d and form._qn(x) == 0
     )
 
 
@@ -530,7 +639,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm, order: int, budget: Optional[
     candidates = [
         x
         for x in sorted(form.elements())
-        if x != zero and form.q(x) == 0 and order % form.element_order(x) == 0
+        if x != zero and form._qn(x) == 0 and order % form.element_order(x) == 0
     ]
     seen = {frozenset({zero})}
     frontier = [frozenset({zero})]
@@ -545,7 +654,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm, order: int, budget: Optional[
                 size = len(span)
                 if size > order or order % size != 0:
                     continue
-                if any(form.q(y) != 0 for y in span):
+                if any(form._qn(y) for y in span):
                     continue
                 fs = frozenset(span)
                 if fs in seen:
@@ -565,7 +674,7 @@ def overlattice(lattice: EvenLattice, subgroup, budget: Optional[int] = None) ->
     form = data.form
     elems = _span_elements(form, [form.reduce(x) for x in subgroup])
     for x in elems:
-        if form.q(x) != 0:
+        if form._qn(x):
             raise NotIsotropic(f"q({x}) != 0; the subgroup is not isotropic")
     n = lattice.rank
     rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -606,9 +715,8 @@ def fqf_isomorphism(source: FiniteQuadraticForm, target: FiniteQuadraticForm) ->
     if source.is_trivial():
         return ()
     pool = sorted(target.elements())
-    for images in _image_assignments(
-        target, pool, source.orders, source.q_diag, source.b_mat, target.order()
-    ):
+    # equal orders give equal exponents, so the source numerators apply
+    for images in _image_assignments(target, pool, source.orders, source._q, source._b):
         k = len(images)
         return tuple(tuple(images[j][i] for j in range(k)) for i in range(k))
     return None

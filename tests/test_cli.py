@@ -249,3 +249,22 @@ class TestReportContracts:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["invariant_factors"] == [3, 3]
+
+
+class TestHodgeValidation:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 0, 0], [0, 1, 0]],  # wrong shape
+            [[1, 0], [0, 0]],  # not invertible
+            [[1, 0], [1, 1]],  # q not preserved
+            [[1, 0], [0, 2]],  # b not preserved
+        ],
+    )
+    def test_non_isometry_generator_exits_2(self, tmp_path, capsys, matrix):
+        path = tmp_path / "hodge.json"
+        path.write_text(json.dumps({"generators": [[[0, 1], [1, 0]], matrix]}))
+        code, out = run_cli("cusps", "U(3)", "--div", "1", "--hodge", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cuspcount:" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from conftest import U, diag, random_even_lattice, sums
 
 from cuspcount import intmat
 from cuspcount.discriminant import (
+    FiniteQuadraticForm,
     FqfIsometry,
     _disc_data,
     aut_group,
@@ -22,7 +24,13 @@ from cuspcount.discriminant import (
     plus_minus_subgroup,
     trivial_subgroup,
 )
-from cuspcount.errors import BudgetExceeded, NotIsotropic, SubgroupNotContained
+from cuspcount.errors import (
+    BudgetExceeded,
+    LatticeError,
+    NotIsometry,
+    NotIsotropic,
+    SubgroupNotContained,
+)
 from cuspcount.lattices import (
     Embedding,
     EvenLattice,
@@ -105,6 +113,33 @@ class TestAutGroup:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             aut_group(discriminant_form(U(10)), budget=50)
+
+
+class TestNoReferenceCycles:
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        # integer code triggers the cyclic collector rarely, so a cycle per
+        # search would pile up: each would hold the search's candidate lists
+        form = discriminant_form(U(6))
+        gc.collect()
+        gc.disable()
+        try:
+            fqf_isomorphism(form, form)
+            aut_group(form)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestSubgroupMembership:
+    def test_contains_and_subgroup(self):
+        form = discriminant_form(U(6))
+        group = aut_group(form)
+        pm = plus_minus_subgroup(form)
+        assert all(iso in group for iso in pm)
+        assert FqfIsometry.identity(form) in pm
+        assert pm.is_subgroup_of(group)
+        assert not group.is_subgroup_of(pm)
+        assert not pm.is_subgroup_of(plus_minus_subgroup(discriminant_form(U(5))))
 
 
 class TestNaturalMap:
@@ -355,3 +390,107 @@ class TestComplementFormRelation:
             comp_form = discriminant_form(comp)
             assert fqf_isomorphism(sub_form, comp_form.negated()) is not None
             checked += 1
+
+
+def _f(num, den=1):
+    return Fraction(num, den)
+
+
+class TestFormValidation:
+    """Each rejection branch of the FiniteQuadraticForm constructor."""
+
+    @pytest.mark.parametrize(
+        "orders, q_diag, b_mat, message",
+        [
+            ((2, 3), (_f(0), _f(0)), ((_f(0), _f(0)), (_f(0), _f(0))), "divisibility chain"),
+            ((1,), (_f(0),), ((_f(0),),), "must be > 1"),
+            ((2,), (), ((_f(0),),), "do not match the generator count"),
+            ((2,), (_f(0),), (), "do not match the generator count"),
+            ((2,), (_f(-1, 2),), ((_f(1, 2),),), r"canonical residues in \[0, 2\)"),
+            ((2,), (_f(2),), ((_f(0),),), r"canonical residues in \[0, 2\)"),
+            ((2,), (_f(1, 4),), ((_f(1, 4),),), "incompatible with the generator order"),
+            ((3,), (_f(1, 3),), ((_f(1, 3),),), "incompatible with the generator order"),
+            ((2, 2), (_f(0), _f(0)), ((_f(0),), (_f(0), _f(0))), "not square"),
+            ((2,), (_f(1, 2),), ((_f(0),),), r"b\(g,g\) must reduce q\(g\) mod 1"),
+            ((2, 2), (_f(0), _f(0)), ((_f(0), _f(1, 2)), (_f(0), _f(0))), "symmetric"),
+            ((2, 2), (_f(0), _f(0)), ((_f(0), _f(1)), (_f(1), _f(0))), "symmetric"),
+            ((2, 2), (_f(0), _f(0)), ((_f(0), _f(1, 4)), (_f(1, 4), _f(0))), "incompatible with the generator orders"),
+        ],
+    )
+    def test_rejects(self, orders, q_diag, b_mat, message):
+        with pytest.raises(LatticeError, match=message):
+            FiniteQuadraticForm(orders, q_diag, b_mat)
+
+    def test_accepts_discriminant_tables(self):
+        form = discriminant_form(sums(U(2), diag(-4)))
+        rebuilt = FiniteQuadraticForm(form.orders, form.q_diag, form.b_mat)
+        assert rebuilt == form
+        assert hash(rebuilt) == hash(form)
+
+
+class TestIsometryValidation:
+    """Each rejection branch of the FqfIsometry constructor."""
+
+    @pytest.mark.parametrize(
+        "lattice, matrix, message",
+        [
+            (U(3), ((1, 0, 0), (0, 1, 0)), "wrong shape"),
+            (U(3), ((1,), (0,)), "wrong shape"),
+            # orders (2, 4): the image of the order-2 generator must be 2-torsion
+            (diag(-2, -4), ((1, 0), (1, 1)), "not a well-defined endomorphism"),
+            (U(3), ((1, 0), (0, 0)), "not invertible on the group"),
+            (U(6), ((1, 0), (0, 2)), "not invertible on the group"),
+            # g1 -> g1 + g2 has q = 2/3, but q(g1) = 0
+            (U(3), ((1, 0), (1, 1)), "does not preserve q"),
+            # q is kept on both columns, but b(g2', g1') = 2/3 != 1/3
+            (U(3), ((1, 0), (0, 2)), "does not preserve b"),
+        ],
+    )
+    def test_rejects(self, lattice, matrix, message):
+        form = discriminant_form(lattice)
+        with pytest.raises(NotIsometry, match=message):
+            FqfIsometry(form, matrix)
+
+    def test_accepts_and_reduces(self):
+        form = discriminant_form(U(3))
+        iso = FqfIsometry(form, ((3, 4), (-2, 6)))
+        assert iso.matrix == ((0, 1), (1, 0))
+
+
+def _brute_force_aut_order(form):
+    """Count the matrices FqfIsometry accepts, over all entries mod d_i."""
+    k, d = form.ngens, form.orders
+    rows = [list(itertools.product(range(d[i]), repeat=k)) for i in range(k)]
+    count = 0
+    for matrix in itertools.product(*rows):
+        try:
+            FqfIsometry(form, matrix)
+        except NotIsometry:
+            continue
+        count += 1
+    return count
+
+
+class TestAutGroupOnDegenerateForms:
+    """Forms with a radical, where preserving b does not force injectivity:
+    the search must reject the non-injective image tuples itself."""
+
+    @pytest.mark.parametrize(
+        "orders, q_diag, b_rows",
+        [
+            ((2, 2), (0, 0), ((0, 0), (0, 0))),
+            ((2, 2, 2), (0, 0, 1), ((0, 0, 0), (0, 0, 0), (0, 0, 0))),
+            ((2, 4), (0, _f(1, 2)), ((0, 0), (0, _f(1, 2)))),
+            ((3, 3), (_f(2, 3), 0), ((_f(2, 3), 0), (0, 0))),
+        ],
+    )
+    def test_both_routes_match_brute_force(self, orders, q_diag, b_rows):
+        form = FiniteQuadraticForm(
+            orders, tuple(map(Fraction, q_diag)), tuple(tuple(map(Fraction, r)) for r in b_rows)
+        )
+        want = _brute_force_aut_order(form)
+        primary = aut_group(form, method="primary")
+        direct = aut_group(form, method="direct")
+        assert primary.order() == want
+        assert set(primary.elements) == set(direct.elements)
+        assert fqf_isomorphism(form, form) is not None
