@@ -45,9 +45,9 @@ from .errors import (
 from .genus import GenusQuery, equivalent_rank2, genus_representatives_rank2, nikulin_unique
 from .isotropic import (
     classify_i1_orbits,
-    enumerate_isotropic,
     hyperbolic_completion,
     quotient_lattice,
+    section_vector,
 )
 from .lattices import (
     EvenLattice,
@@ -171,13 +171,6 @@ def _move_hodge(hodge: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgroup:
     return transport_subgroup(hodge, psi, target)
 
 
-def _section_vector(lattice: EvenLattice, height_bound: int):
-    for iv in enumerate_isotropic(lattice, height_bound):
-        if iv.divisor == 1:
-            return iv.vector
-    return None
-
-
 def _genus_of(lattice: EvenLattice, budget) -> tuple:
     """(representatives, certified_complete, note)."""
     if lattice.rank <= 1 or nikulin_unique(lattice):
@@ -236,7 +229,7 @@ def count_cusps_zero_dim(
     form = discriminant_form(model.ns)
     elements = isotropic_elements(form, d, budget=limit)
     value = _orbit_count(elements, gamma_image(model))
-    if _section_vector(model.ns, height_bound) is not None:
+    if section_vector(model.ns, height_bound) is not None:
         note = "coarse class count; equals the divisor-%d cusp count (hyperbolic plane embeds)" % d
     else:
         note = (
@@ -342,7 +335,6 @@ def _move_hodge_like(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgro
 
 def count_fm_elliptic(
     model: K3Model,
-    gens: Optional[dict] = None,
     genus_list: Optional[list] = None,
     orbit_data: Optional[dict] = None,
     budget: Optional[int] = None,
@@ -395,7 +387,7 @@ def count_fm_elliptic_sec(
     """Sectioned elliptic count: double cosets over the genus of l^perp/Zl
     for a divisor-1 isotropic l in the Picard lattice."""
     limit = resolve_budget(budget)
-    section = _section_vector(model.ns, height_bound)
+    section = section_vector(model.ns, height_bound)
     if section is None:
         return CountReport(
             0,
@@ -489,7 +481,7 @@ def route_crosscheck(
     """When a hyperbolic plane embeds in the Picard lattice, the partner
     count must be 1 and per-divisor cusp counts are exact twisted counts."""
     limit = resolve_budget(budget)
-    section = _section_vector(model.ns, height_bound)
+    section = section_vector(model.ns, height_bound)
     if section is None:
         raise HypothesisFails(
             f"no divisor-1 isotropic vector with |coords| <= {height_bound}"

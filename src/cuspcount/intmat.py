@@ -108,11 +108,6 @@ def det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_unimodular(mat) -> bool:
-    n, m = shape(mat)
-    return n == m and det(mat) in (1, -1)
-
-
 def solve_rational(mat, rhs) -> Optional[tuple]:
     """Solve mat @ x = rhs exactly.
 

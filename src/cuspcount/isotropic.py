@@ -3,12 +3,16 @@ quotients l^perp/Zl, transvections and the stabilizer structure of O(L)^l.
 
 Isotropic enumeration is height-bounded and every result is labelled with
 its window; the sets I^d(L) are infinite, so no output ever claims global
-completeness.
+completeness.  The window scan walks the first n-1 coordinates of a vector,
+at most (2h+1)^(n-1) of them, and solves the norm, a quadratic in the last
+coordinate, exactly with math.isqrt; the full norm is evaluated only on the
+vectors found.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,13 +93,69 @@ class HyperbolicSplit:
         return intmat.matvec(self.complement_columns, comp_coords)
 
 
-def _normalize_sign(v):
-    for x in v:
-        if x > 0:
-            return v
-        if x < 0:
-            return tuple(-y for y in v)
-    return v
+def _last_coordinates(a: int, beta: int, q: int, h: int):
+    """Every t with |t| <= h and a t^2 + 2 beta t + q = 0, ascending."""
+    if a:
+        # a (a t^2 + 2 beta t + q) = (a t + beta)^2 - (beta^2 - a q)
+        disc = beta * beta - a * q
+        if disc < 0:
+            return ()
+        s = math.isqrt(disc)
+        if s * s != disc:
+            return ()
+        roots = {(r - beta) // a for r in (s, -s) if (r - beta) % a == 0}
+        return sorted(t for t in roots if abs(t) <= h)
+    if beta:
+        if q % (2 * beta):
+            return ()
+        t = -q // (2 * beta)
+        return (t,) if abs(t) <= h else ()
+    return () if q else range(-h, h + 1)
+
+
+def _tagged(lattice: EvenLattice, v: tuple) -> IsotropicVector:
+    if lattice.norm(v) != 0:
+        raise AssertionError(f"window scan produced {list(v)}, which is not isotropic")
+    return IsotropicVector(v, divisor(lattice, v))
+
+
+def _scan_isotropic(lattice: EvenLattice, height_bound: int):
+    """Lazy enumerate_isotropic: the same vectors, tagged, in the same order.
+
+    A vector v = (y, z, t) has prefix x' = (y, z).  With a = G[n-1][n-1],
+    beta = sum_i G[n-1][i] x'_i and Q = x'^T G' x', G' the leading
+    (n-1)x(n-1) block, its norm is a t^2 + 2 beta t + Q, so
+    _last_coordinates finds every isotropic t of a prefix in ints.  Only
+    prefixes whose first nonzero entry is positive are walked (the zero
+    prefix gives (0, ..., 0, 1) when a = 0), so each vector comes out once
+    and sign-normalised.  Prefixes come in lexicographic order and the t of
+    a prefix ascending, so the vectors do too.  Q is quadratic and beta
+    affine in z, with coefficients computed once per y.
+    """
+    if height_bound < 1:
+        raise ZeroVector("height bound must be positive")
+    n = lattice.rank
+    if n == 0 or not is_indefinite(lattice):
+        return
+    h = height_bound
+    g = lattice.gram
+    head = n - 2
+    a, d, e = g[-1][-1], g[-2][-2], g[-1][-2]
+    window = range(-h, h + 1)
+    if a == 0:
+        yield _tagged(lattice, (0,) * (n - 1) + (1,))
+    for y in itertools.product(window, repeat=head):
+        lead = next((c for c in y if c), 0)
+        if lead < 0:
+            continue  # -v has the prefix -y
+        q_y = sum(y[i] * g[i][j] * y[j] for i in range(head) for j in range(head))
+        m_y = sum(g[-2][i] * y[i] for i in range(head))
+        beta_y = sum(g[-1][i] * y[i] for i in range(head))
+        for z in window if lead else range(1, h + 1):
+            for t in _last_coordinates(a, beta_y + e * z, q_y + z * (2 * m_y + d * z), h):
+                v = y + (z, t)
+                if intmat.vec_gcd(v) == 1:
+                    yield _tagged(lattice, v)
 
 
 def enumerate_isotropic(lattice: EvenLattice, height_bound: int) -> list:
@@ -103,24 +163,19 @@ def enumerate_isotropic(lattice: EvenLattice, height_bound: int) -> list:
 
     Deduplicated up to sign (first nonzero coordinate positive), tagged with
     their divisors, in lexicographic order.  Definite lattices have none.
+    The scan walks the sign-normalised half of the (2h+1)^(n-1) prefixes
+    and solves for the last coordinate exactly (see _scan_isotropic); the
+    norm of each vector found is checked again before it is returned.
     """
-    if height_bound < 1:
-        raise ZeroVector("height bound must be positive")
-    n = lattice.rank
-    if n == 0 or not is_indefinite(lattice):
-        return []
-    found = set()
-    for coords in itertools.product(range(-height_bound, height_bound + 1), repeat=n):
-        if all(x == 0 for x in coords):
-            continue
-        if intmat.vec_gcd(coords) != 1:
-            continue
-        v = _normalize_sign(coords)
-        if v in found:
-            continue
-        if lattice.norm(v) == 0:
-            found.add(v)
-    return [IsotropicVector(v, divisor(lattice, v)) for v in sorted(found)]
+    return list(_scan_isotropic(lattice, height_bound))
+
+
+def section_vector(lattice: EvenLattice, height_bound: int) -> Optional[tuple]:
+    """The first divisor-1 vector of enumerate_isotropic, or None.
+
+    The scan stops at that vector.
+    """
+    return next((iv.vector for iv in _scan_isotropic(lattice, height_bound) if iv.divisor == 1), None)
 
 
 def _as_vector(lattice, l):

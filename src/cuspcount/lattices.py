@@ -389,10 +389,6 @@ def restricted_gram(lattice: EvenLattice, cols) -> Matrix:
     return intmat.matmul(intmat.matmul(intmat.transpose(cols), lattice.gram), cols)
 
 
-def gram_key(lattice: EvenLattice) -> Matrix:
-    return lattice.gram
-
-
 def is_hyperbolic_shape(lattice: EvenLattice):
     """Return r when the Gram is exactly [[0, r], [r, 0]] (r > 0), else None."""
     g = lattice.gram

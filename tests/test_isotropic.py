@@ -1,7 +1,13 @@
+import itertools
+import random
+
 import pytest
-from conftest import U, diag, sums
+from conftest import U, det_oracle, diag, sums
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from cuspcount import intmat
+from cuspcount.cli import parse_lattice_spec
 from cuspcount.discriminant import _prime_factors, natural_map
 from cuspcount.errors import (
     DivisorNotOne,
@@ -16,10 +22,12 @@ from cuspcount.isotropic import (
     check_div_square,
     classify_i1_orbits,
     enumerate_isotropic,
+    _last_coordinates,
     hyperbolic_completion,
     is_standard_plane,
     projection_isometry,
     quotient_lattice,
+    section_vector,
     split_from_pair,
     stabilizer_compose,
     stabilizer_decompose,
@@ -29,7 +37,9 @@ from cuspcount.lattices import (
     Embedding,
     LatticeIsometry,
     divisor,
+    is_indefinite,
     is_primitive,
+    make_lattice,
 )
 
 
@@ -66,6 +76,150 @@ class TestEnumerate:
                 continue
             for iv in enumerate_isotropic(lattice, 4):
                 assert iv.divisor == 1
+
+
+def reference_enumerate(lattice, height_bound):
+    """The full (2h+1)^n box scan that the prefix scan replaced, as
+    (vector, divisor) pairs."""
+    n = lattice.rank
+    if n == 0 or not is_indefinite(lattice):
+        return []
+    found = set()
+    for coords in itertools.product(range(-height_bound, height_bound + 1), repeat=n):
+        if all(x == 0 for x in coords):
+            continue
+        if intmat.vec_gcd(coords) != 1:
+            continue
+        lead = next(x for x in coords if x)
+        v = coords if lead > 0 else tuple(-x for x in coords)
+        if v in found:
+            continue
+        if lattice.norm(v) == 0:
+            found.add(v)
+    return [(v, divisor(lattice, v)) for v in sorted(found)]
+
+
+def _small_block(draw):
+    if draw(st.booleans()):
+        return [[2 * draw(st.integers(-3, 3).filter(bool))]]
+    a, b, c = draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), draw(st.integers(-4, 4))
+    return [[2 * a, c], [c, 2 * b]]
+
+
+@st.composite
+def indefinite_grams(draw):
+    """U(r) or diag(2a, -2b), plus small blocks up to rank 5, with the
+    coordinates shuffled and then put in a random unimodular basis."""
+    r, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    blocks = [[[0, r], [r, 0]] if draw(st.booleans()) else [[2 * r, 0], [0, -2 * s]]]
+    target = draw(st.integers(2, 5))
+    while sum(len(b) for b in blocks) < target:
+        block = _small_block(draw)
+        if sum(len(b) for b in blocks) + len(block) <= 5:
+            blocks.append(block)
+    n = sum(len(b) for b in blocks)
+    gram = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            gram[at + i][at : at + len(row)] = row
+        at += len(block)
+    assume(det_oracle(gram) != 0)
+    perm = draw(st.permutations(range(n)))
+    gram = [[gram[i][j] for j in perm] for i in perm]
+    steps = draw(st.integers(0, 4))
+    if steps:
+        u = intmat.random_unimodular(n, random.Random(draw(st.integers(0, 2**16))), steps)
+        gram = intmat.matmul(intmat.matmul(intmat.transpose(u), gram), u)
+    return [list(row) for row in gram]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(indefinite_grams(), st.integers(1, 4))
+@example([[2, 0], [0, -2]], 3)  # a != 0, beta^2 - aQ a square
+@example([[-2, 0, 0], [0, 0, 1], [0, 1, 0]], 3)  # U last: a = 0
+@example([[0, 2, 0], [2, 0, 0], [0, 0, -2]], 3)  # U(2) first, a != 0
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 2)  # U+U: a = beta = Q = 0
+@example([[2, 0, 0], [0, -2, 0], [0, 0, 2]], 2)  # beta^2 - aQ < 0 at x' = (1, 0)
+@example([[8, 0], [0, -2]], 1)  # both roots t = +-2 outside the window
+@example([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]], 4)  # U(3)+A(2)
+def test_prefix_scan_matches_box_scan(gram, h):
+    lattice = make_lattice(gram)
+    h = min(h, 3) if lattice.rank == 5 else h  # keeps the reference box at <= 7^5 points
+    got = [(iv.vector, iv.divisor) for iv in enumerate_isotropic(lattice, h)]
+    assert got == reference_enumerate(lattice, h)
+
+
+class TestLastCoordinates:
+    """Every t in [-h, h] with a t^2 + 2 beta t + q = 0, one case per branch."""
+
+    @pytest.mark.parametrize(
+        "a, beta, q, h, want",
+        [
+            (2, 0, -2, 3, [-1, 1]),  # a > 0, both roots
+            (-2, 0, 2, 3, [-1, 1]),  # a < 0, still ascending
+            (2, 2, 0, 3, [-2, 0]),  # roots -2 and 0
+            (2, -2, 2, 3, [1]),  # double root, beta^2 - aq = 0
+            (4, 1, 0, 3, [0]),  # second root -1/2 is not an integer
+            (2, 0, -4, 3, []),  # beta^2 - aq = 8 is not a square
+            (2, 0, 2, 3, []),  # beta^2 - aq < 0
+            (2, 0, -32, 3, []),  # roots +-4 outside the window
+            (2, 0, -32, 4, [-4, 4]),
+            (0, 1, -4, 3, [2]),  # a = 0: 2 t - 4 = 0
+            (0, 2, 2, 3, []),  # a = 0: 4 t + 2 = 0 has no integer root
+            (0, -1, 8, 3, []),  # a = 0: root 4 outside the window
+            (0, 0, 0, 2, [-2, -1, 0, 1, 2]),  # every t
+            (0, 0, 2, 2, []),  # a = beta = 0, q != 0
+        ],
+    )
+    def test_branches(self, a, beta, q, h, want):
+        assert list(_last_coordinates(a, beta, q, h)) == want
+
+    def test_every_last_coordinate(self):
+        vectors = [iv.vector for iv in enumerate_isotropic(sums(U(1), U(1)), 2)]
+        assert all((1, 0, 0, t) in vectors for t in range(-2, 3))
+
+    def test_root_outside_window(self):
+        assert enumerate_isotropic(diag(8, -2), 1) == []
+        found = enumerate_isotropic(diag(8, -2), 2)
+        assert [iv.vector for iv in found] == [(1, -2), (1, 2)]
+
+
+ISO_WINDOW_TIERS = (
+    ("U+diag(-2,-2)", 4),
+    ("U+A(2)", 4),
+    ("U(2)+diag(-2,-2)", 4),
+    ("U+diag(-2,-4)", 4),
+    ("U(2)+A(2)", 4),
+    ("U+diag(-2,-6)", 4),
+    ("U+diag(-2,-2,-2)", 3),
+    ("U+A(3)", 3),
+)
+
+
+def _signed_permutation(lattice, rng):
+    n = lattice.rank
+    perm = rng.sample(range(n), n)
+    mat = [[rng.choice((-1, 1)) if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+    return make_lattice(intmat.matmul(intmat.matmul(intmat.transpose(mat), lattice.gram), mat))
+
+
+def test_section_vector_is_first_divisor_one(corpus_lattices, rng):
+    cases = [(lattice, h) for lattice in corpus_lattices for h in (1, 2, 3)]
+    for label, bound in ISO_WINDOW_TIERS:
+        lattice = parse_lattice_spec(label)
+        cases += [(lattice, bound)] + [(_signed_permutation(lattice, rng), bound) for _ in range(2)]
+    nones = 0
+    for lattice, h in cases:
+        first = next((iv.vector for iv in enumerate_isotropic(lattice, h) if iv.divisor == 1), None)
+        assert section_vector(lattice, h) == first
+        nones += first is None
+    assert 0 < nones < len(cases)
 
 
 class TestHyperbolicCompletion:
