@@ -264,7 +264,7 @@ class _DiscData:
         return tuple(c[idx] % self.dvec[idx] for idx in self.keep)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _disc_data(lattice: EvenLattice) -> _DiscData:
     n = lattice.rank
     u, _, d, v, _ = intmat.snf_transforms(lattice.gram) if n else ((), (), (), (), ())
@@ -291,6 +291,19 @@ def _disc_data(lattice: EvenLattice) -> _DiscData:
 def discriminant_form(lattice: EvenLattice) -> FiniteQuadraticForm:
     """The finite quadratic form on L^dual / L."""
     return _disc_data(lattice).form
+
+
+def _matmul_mod(a: Matrix, b_cols: tuple, orders: tuple) -> Matrix:
+    """a b for reduced isometry matrices a and b, b given by its columns,
+    with row i reduced mod d_i.
+
+    It equals the reduced matrix of their composition, because entry (i, j)
+    of an endomorphism is a multiple of d_i / gcd(d_i, d_j).
+    """
+    return tuple(
+        tuple(sum(map(operator.mul, row, col)) % d for col in b_cols)
+        for row, d in zip(a, orders)
+    )
 
 
 @dataclass(frozen=True)
@@ -346,14 +359,19 @@ class FqfIsometry:
         return FqfIsometry(self.form, intmat.matmul(self.matrix, other.matrix))
 
     def inverse(self) -> "FqfIsometry":
+        """g^(n-1), where n is the order of g: O(A, q) is finite."""
         if not self.form.ngens:
             return self
-        k = self.form.ngens
-        preimage = {self.apply(x): x for x in self.form.elements()}
-        cols = [
-            preimage[tuple(1 if i == j else 0 for i in range(k))] for j in range(k)
-        ]
-        return FqfIsometry.from_images(self.form, cols)
+        orders = self.form.orders
+        ident = intmat.identity(self.form.ngens)
+        cols = tuple(zip(*self.matrix))
+        prev, power = ident, self.matrix
+        while power != ident:
+            prev, power = power, _matmul_mod(power, cols, orders)
+        inv = FqfIsometry(self.form, prev)
+        if _matmul_mod(self.matrix, tuple(zip(*inv.matrix)), orders) != ident:
+            raise AssertionError("g * g^-1 is not the identity")
+        return inv
 
     def is_identity(self) -> bool:
         return self == FqfIsometry.identity(self.form)
@@ -404,24 +422,32 @@ class FqfSubgroup:
 
 
 def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry], max_order: int = 1_000_000) -> FqfSubgroup:
-    """Close a generator list under composition (finite, so inverses come free)."""
+    """Close a generator list under composition (finite, so inverses come free).
+
+    The closure multiplies reduced matrices; each product that is new to it
+    is built through the validating FqfIsometry constructor, so every
+    element is checked in full once, not once per generator that reaches it.
+    """
     gens = tuple(generators)
     for g in gens:
         if g.form != form:
             raise NotIsometry("generator acts on a different form")
+    orders = form.orders
+    gen_mats = [g.matrix for g in gens]
     ident = FqfIsometry.identity(form)
-    seen = {ident}
-    queue = [ident]
+    found = {ident.matrix: ident}
+    queue = [ident.matrix]
     while queue:
         x = queue.pop()
-        for g in gens:
-            y = g.compose(x)
-            if y not in seen:
-                if len(seen) >= max_order:
+        x_cols = tuple(zip(*x))
+        for g in gen_mats:
+            y = _matmul_mod(g, x_cols, orders)
+            if y not in found:
+                if len(found) >= max_order:
                     raise BudgetExceeded("subgroup closure exceeded the cap")
-                seen.add(y)
+                found[y] = FqfIsometry(form, y)
                 queue.append(y)
-    elements = tuple(sorted(seen, key=lambda iso: iso.matrix))
+    elements = tuple(found[m] for m in sorted(found))
     return FqfSubgroup(form, gens, elements)
 
 
@@ -745,21 +771,35 @@ def is_isogenus(left: EvenLattice, right: EvenLattice, budget: Optional[int] = N
 
 
 def double_coset_count(left: FqfSubgroup, ambient: FqfSubgroup, right: FqfSubgroup) -> int:
-    """Number of double cosets left \\ ambient / right by orbit sweeping."""
+    """Number of double cosets left \\ ambient / right by orbit sweeping.
+
+    The sweep multiplies reduced matrices.  Every product l x r must be the
+    matrix of an element of the ambient group, whose elements were all
+    validated when it was built; a product outside it (an ambient element
+    set that is not closed) raises AssertionError.
+    """
     if not left.is_subgroup_of(ambient):
         raise SubgroupNotContained("left factor is not contained in the ambient group")
     if not right.is_subgroup_of(ambient):
         raise SubgroupNotContained("right factor is not contained in the ambient group")
+    orders = ambient.form.orders
+    members = {iso.matrix for iso in ambient.elements}
+    lefts = [l.matrix for l in left.elements]
+    rights = [tuple(zip(*r.matrix)) for r in right.elements]
     visited = set()
     count = 0
     for x in ambient.elements:
-        if x in visited:
+        if x.matrix in visited:
             continue
         count += 1
-        for l in left.elements:
-            lx = l.compose(x)
-            for r in right.elements:
-                visited.add(lx.compose(r))
+        x_cols = tuple(zip(*x.matrix))
+        for l in lefts:
+            lx = _matmul_mod(l, x_cols, orders)
+            for r in rights:
+                lxr = _matmul_mod(lx, r, orders)
+                if lxr not in members:
+                    raise AssertionError("a double-coset product left the ambient group")
+                visited.add(lxr)
     return count
 
 

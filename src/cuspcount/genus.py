@@ -20,7 +20,6 @@ from .discriminant import (
     discriminant_form,
     fqf_isomorphism,
     min_generators,
-    resolve_budget,
 )
 from .errors import BoundTooSmall, NotRank2
 from .lattices import EvenLattice, LatticeMap, is_indefinite, signature
@@ -292,11 +291,11 @@ def genus_representatives_rank2(query: GenusQuery, budget: Optional[int] = None)
 
     Complete relative to classical reduction theory; raises BoundTooSmall if
     the requested sweep bound cannot cover the reduced representatives.
+    `budget` is accepted for compatibility and not read.
     """
     p, q = query.signature
     if p + q != 2:
         raise NotRank2("genus sweep is implemented for rank 2 only")
-    limit = resolve_budget(budget)
     target = query.target_form
     n = target.order()
     definite = p == 0 or q == 0

@@ -27,7 +27,7 @@ from .errors import (
 from .intmat import Matrix
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _det_cached(gram: Matrix) -> int:
     return intmat.det(gram)
 

@@ -494,3 +494,17 @@ class TestAutGroupOnDegenerateForms:
         assert primary.order() == want
         assert set(primary.elements) == set(direct.elements)
         assert fqf_isomorphism(form, form) is not None
+
+
+class TestBoundedCaches:
+    def test_caches_stop_growing_at_maxsize(self):
+        from cuspcount.lattices import _det_cached
+
+        for cache in (_disc_data, _det_cached):
+            assert cache.cache_info().maxsize is not None
+        bound = max(_disc_data.cache_info().maxsize, _det_cached.cache_info().maxsize)
+        for k in range(1, bound + 50):
+            discriminant_form(diag(2 * k))
+        for cache in (_disc_data, _det_cached):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
