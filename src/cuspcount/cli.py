@@ -29,7 +29,6 @@ from .discriminant import (
     discriminant_form,
     fqf_subgroup,
     is_isogenus,
-    min_generators,
 )
 from .errors import BudgetExceeded, LatticeError, ParseError
 from .genus import GenusQuery, genus_representatives_rank2
@@ -205,7 +204,7 @@ def _cmd_disc(args) -> dict:
             "gram": _gram_list(lattice),
             "invariant_factors": list(form.orders),
             "group_order": form.order(),
-            "min_generators": min_generators(form),
+            "min_generators": form.ngens,
             "q_values": [_frac(q) for q in form.q_diag],
             "b_matrix": [[_frac(b) for b in row] for row in form.b_mat],
         },

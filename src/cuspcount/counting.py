@@ -6,6 +6,10 @@ H \\ O(A) / K, and the unit-group fiber count of the U(r) family.  Counts
 carry a CountReport with their derivation route and an exactness flag;
 window-limited inputs only ever drop terms, so inexact values are lower
 bounds that grow monotonically with the search window.
+
+Every partner count is one `_genus_sum`: double cosets hodge \\ O(A_M) / R
+summed over a genus, each count supplying its right factors R (r_M(O(M)),
+or one stabilizer image per isotropic orbit for elliptic pairs).
 """
 
 from __future__ import annotations
@@ -117,7 +121,9 @@ class IsotropicOrbitDatum:
 @dataclass(frozen=True)
 class K3Model:
     """Hyperbolic Picard lattice plus the allowed symmetries on its
-    discriminant form (default: plus/minus identity, the generic case)."""
+    discriminant form (default: plus/minus identity, the generic case).
+    hodge_image is also the image of the orientation-preserving half: an
+    orientation flip acts trivially on A."""
 
     ns: EvenLattice
     hodge_image: FqfSubgroup
@@ -134,12 +140,6 @@ class K3Model:
         return K3Model(ns, plus_minus_subgroup(discriminant_form(ns)))
 
 
-def gamma_image(model: K3Model) -> FqfSubgroup:
-    """Common image on A of the full symmetry group and its orientation-
-    preserving half (they agree: an orientation flip acts trivially on A)."""
-    return model.hodge_image
-
-
 def _orbit_count(elements, group: FqfSubgroup) -> int:
     visited = set()
     count = 0
@@ -152,27 +152,31 @@ def _orbit_count(elements, group: FqfSubgroup) -> int:
     return count
 
 
-def _move_hodge(hodge: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgroup:
-    """Carry the hodge image onto an isomorphic discriminant form.
+def _move_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgroup:
+    """Carry a subgroup of O(A) onto an isomorphic discriminant form.
 
     Any isomorphism works for counting: the double-coset count is invariant
-    under conjugating one factor.
+    under conjugating one factor.  The trivial group and {+-id} are the same
+    on every form, so they move without an isomorphism search.
     """
-    if hodge.form == target:
-        return hodge
-    if hodge.order() == 1:
+    if sub.form == target:
+        return sub
+    if sub.order() == 1:
         return trivial_subgroup(target)
-    pm = plus_minus_subgroup(hodge.form)
-    if set(hodge.elements) == set(pm.elements):
+    pm = plus_minus_subgroup(sub.form)
+    if set(sub.elements) == set(pm.elements):
         return plus_minus_subgroup(target)
-    psi = fqf_isomorphism(hodge.form, target)
+    psi = fqf_isomorphism(sub.form, target)
     if psi is None:
-        raise NotIsometry("hodge image cannot be transported onto the target form")
-    return transport_subgroup(hodge, psi, target)
+        raise NotIsometry("subgroup cannot be transported onto the target form")
+    return transport_subgroup(sub, psi, target)
 
 
-def _genus_of(lattice: EvenLattice, budget) -> tuple:
-    """(representatives, certified_complete, note)."""
+def _genus_of(lattice: EvenLattice, budget, given: Optional[list] = None) -> tuple:
+    """(representatives, certified_complete, note); a given list is certified
+    by its caller."""
+    if given is not None:
+        return given, True, "caller-certified genus list"
     if lattice.rank <= 1 or nikulin_unique(lattice):
         return [lattice], True, "singleton genus"
     if lattice.rank == 2:
@@ -187,33 +191,63 @@ def _genus_of(lattice: EvenLattice, budget) -> tuple:
 
 def _r_image_of_om(
     lattice: EvenLattice, gens: Optional[OMGenerators], budget
-) -> tuple:
-    """(r_M(O(M)) as a subgroup of O(A_M) or None if unknown, complete?, note).
+) -> Optional[FqfSubgroup]:
+    """r_M(O(M)) as a subgroup of O(A_M), or None when it is not certified.
 
     Complete lists are built in only where a theorem provides them: the
     indefinite-surjectivity criterion, rank <= 1, and the U(r) shape.
+    User generators are mapped (natural_map validates each one) and count
+    only when attested complete.
     """
     form = discriminant_form(lattice)
     if nikulin_unique(lattice):
-        return aut_group(form, budget=budget), True, "surjective (indefinite criterion)"
+        return aut_group(form, budget=budget)  # surjective (indefinite criterion)
     if lattice.rank == 0:
-        return trivial_subgroup(form), True, "rank 0"
+        return trivial_subgroup(form)
     if lattice.rank == 1:
-        return plus_minus_subgroup(form), True, "O = {+-id} in rank 1"
-    r = is_hyperbolic_shape(lattice)
-    if r is not None:
+        return plus_minus_subgroup(form)  # O = {+-id} in rank 1
+    if is_hyperbolic_shape(lattice) is not None:
+        # O(U(r)) = {+-id, +-swap}
         swap = LatticeIsometry(lattice, ((0, 1), (1, 0)))
         gens_r = (
             natural_map(lattice, swap),
             FqfIsometry.minus_identity(form),
         )
-        return fqf_subgroup(form, gens_r), True, "O(U(r)) = {+-id, +-swap}"
-    if gens is not None:
-        mapped = tuple(natural_map(lattice, g) for g in gens.generators)
-        if gens.complete:
-            return fqf_subgroup(form, mapped), True, "user-attested generators"
-        return fqf_subgroup(form, mapped), False, "user generators without attestation"
-    return None, False, "no generator list available"
+        return fqf_subgroup(form, gens_r)
+    if gens is None:
+        return None
+    mapped = tuple(natural_map(lattice, g) for g in gens.generators)
+    return fqf_subgroup(form, mapped) if gens.complete else None
+
+
+def _om_image(gens: Optional[dict], budget):
+    """right_factors of a partner count: the one image r_M(O(M))."""
+    return lambda m: ((_r_image_of_om(m, gens.get(m) if gens else None, budget),), True)
+
+
+def _genus_sum(hodge: FqfSubgroup, members, right_factors, budget) -> tuple:
+    """Sum of double cosets hodge \\ O(A_M) / R over the genus members M.
+
+    right_factors(M) gives (factors, complete?): subgroups R on forms
+    isomorphic to A_M, or None for an unknown image, which scores its
+    certified minimum of one class.  Returns (total, terms, minima, complete).
+    """
+    total = terms = minima = 0
+    complete = True
+    for member in members:
+        form = discriminant_form(member)
+        ambient = aut_group(form, budget=budget)
+        moved = _move_subgroup(hodge, form)
+        factors, factors_complete = right_factors(member)
+        complete = complete and factors_complete
+        for factor in factors:
+            terms += 1
+            if factor is None:
+                total += 1
+                minima += 1
+            else:
+                total += double_coset_count(moved, ambient, _move_subgroup(factor, form))
+    return total, terms, minima, complete
 
 
 def count_cusps_zero_dim(
@@ -228,7 +262,7 @@ def count_cusps_zero_dim(
     limit = resolve_budget(budget)
     form = discriminant_form(model.ns)
     elements = isotropic_elements(form, d, budget=limit)
-    value = _orbit_count(elements, gamma_image(model))
+    value = _orbit_count(elements, model.hodge_image)
     if section_vector(model.ns, height_bound) is not None:
         note = "coarse class count; equals the divisor-%d cusp count (hyperbolic plane embeds)" % d
     else:
@@ -248,31 +282,14 @@ def count_fm(
     """Partner count: sum of double cosets hodge \\ O(A_M) / r_M(O(M)) over
     the genus of the Picard lattice."""
     limit = resolve_budget(budget)
-    exact = True
-    if genus_list is None:
-        genus_list, genus_complete, genus_note = _genus_of(model.ns, limit)
-        exact = genus_complete
-    else:
-        genus_note = "caller-certified genus list"
-    total = 0
-    clamped = 0
-    for member in genus_list:
-        form = discriminant_form(member)
-        ambient = aut_group(form, budget=limit)
-        image, complete, _ = _r_image_of_om(
-            member, gens.get(member) if gens else None, limit
-        )
-        hodge = _move_hodge(model.hodge_image, form)
-        if complete:
-            total += double_coset_count(hodge, ambient, image)
-        else:
-            # unknown isometry image: score the certified minimum, one class
-            total += 1
-            clamped += 1
-            exact = False
+    genus_list, genus_complete, genus_note = _genus_of(model.ns, limit, genus_list)
+    total, _, minima, _ = _genus_sum(
+        model.hodge_image, genus_list, _om_image(gens, limit), limit
+    )
+    exact = genus_complete and not minima
     note = f"{len(genus_list)} genus class(es); {genus_note}"
-    if clamped:
-        note += f"; {clamped} term(s) scored at the certified minimum 1"
+    if minima:
+        note += f"; {minima} term(s) scored at the certified minimum 1"
     if not exact:
         note += "; lower bound (incomplete inputs)"
     return CountReport(total, ROUTE_DOUBLE_COSET, exact, note)
@@ -303,11 +320,10 @@ def derive_orbit_data(
     out = []
     all_stab_complete = True
     for cls in classes:
-        quot = cls.quotient
-        image, complete, _ = _r_image_of_om(quot, None, budget)
-        stab = _move_hodge_like(image, form) if complete else None
-        out.append(IsotropicOrbitDatum(cls.representative.vector, stab, complete))
-        all_stab_complete = all_stab_complete and complete
+        image = _r_image_of_om(cls.quotient, None, budget)
+        stab = None if image is None else _move_subgroup(image, form)
+        out.append(IsotropicOrbitDatum(cls.representative.vector, stab, image is not None))
+        all_stab_complete = all_stab_complete and image is not None
     # the divisor-1 orbit list is complete iff every quotient-genus class showed up
     quotient_classes_known = None
     if classes:
@@ -322,17 +338,6 @@ def derive_orbit_data(
     return tuple(out), complete
 
 
-def _move_hodge_like(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgroup:
-    if sub.form == target:
-        return sub
-    if sub.order() == 1:
-        return trivial_subgroup(target)
-    psi = fqf_isomorphism(sub.form, target)
-    if psi is None:
-        raise NotIsometry("stabilizer image cannot be transported onto the target form")
-    return transport_subgroup(sub, psi, target)
-
-
 def count_fm_elliptic(
     model: K3Model,
     genus_list: Optional[list] = None,
@@ -343,34 +348,23 @@ def count_fm_elliptic(
     """Elliptic-pair count: double cosets hodge \\ O(A_M) / r_M(O(M)^k),
     summed over genus classes M and isotropic orbits [k] on M."""
     limit = resolve_budget(budget)
-    exact = True
-    if genus_list is None:
-        genus_list, genus_complete, _ = _genus_of(model.ns, limit)
-        exact = genus_complete
+    genus_list, genus_complete, _ = _genus_of(model.ns, limit, genus_list)
     if orbit_data is not None:
         for key in orbit_data:
             if all(key != member for member in genus_list):
                 raise IncompleteInputs("orbit data supplied for a lattice outside the genus list")
-    total = 0
-    terms = 0
-    for member in genus_list:
-        form = discriminant_form(member)
-        ambient = aut_group(form, budget=limit)
-        hodge = _move_hodge(model.hodge_image, form)
+
+    def stabilizers(member: EvenLattice) -> tuple:
         if orbit_data is not None and member in orbit_data:
-            data = tuple(orbit_data[member])
-            data_complete = True
+            data, complete = tuple(orbit_data[member]), True
         else:
-            data, data_complete = derive_orbit_data(member, limit, height_bound)
-        exact = exact and data_complete
-        for datum in data:
-            if datum.complete and datum.stabilizer_image is not None:
-                stab = _move_hodge_like(datum.stabilizer_image, form)
-                total += double_coset_count(hodge, ambient, stab)
-            else:
-                total += 1  # certified minimum per orbit
-                exact = False
-            terms += 1
+            data, complete = derive_orbit_data(member, limit, height_bound)
+        return tuple(d.stabilizer_image if d.complete else None for d in data), complete
+
+    total, terms, minima, complete = _genus_sum(
+        model.hodge_image, genus_list, stabilizers, limit
+    )
+    exact = genus_complete and complete and not minima
     note = f"{terms} (class, orbit) term(s) within |coords| <= {height_bound}"
     if not exact:
         note += "; lower bound (window-limited orbit data)"
@@ -396,23 +390,11 @@ def count_fm_elliptic_sec(
             f"NoSectionClass: no divisor-1 isotropic vector with |coords| <= {height_bound}",
         )
     quot = quotient_lattice(model.ns, section)
-    exact = True
-    if quotient_genus is None:
-        quotient_genus, certified, _ = _genus_of(quot, limit)
-        exact = certified
-    total = 0
-    for member in quotient_genus:
-        form = discriminant_form(member)
-        ambient = aut_group(form, budget=limit)
-        image, complete, _ = _r_image_of_om(
-            member, gens.get(member) if gens else None, limit
-        )
-        hodge = _move_hodge(model.hodge_image, form)
-        if complete:
-            total += double_coset_count(hodge, ambient, image)
-        else:
-            total += 1  # certified minimum per genus class
-            exact = False
+    quotient_genus, genus_complete, _ = _genus_of(quot, limit, quotient_genus)
+    total, _, minima, _ = _genus_sum(
+        model.hodge_image, quotient_genus, _om_image(gens, limit), limit
+    )
+    exact = genus_complete and not minima
     note = f"section at {list(section)}; {len(quotient_genus)} quotient genus class(es)"
     if not exact:
         note += "; lower bound (incomplete inputs)"

@@ -225,11 +225,6 @@ class FiniteQuadraticForm:
         return FiniteQuadraticForm((), (), ())
 
 
-def min_generators(form: FiniteQuadraticForm) -> int:
-    """Minimal number of generators of the underlying group."""
-    return form.ngens
-
-
 @dataclass(frozen=True)
 class _DiscData:
     lattice: EvenLattice

@@ -19,7 +19,6 @@ from .discriminant import (
     FiniteQuadraticForm,
     discriminant_form,
     fqf_isomorphism,
-    min_generators,
 )
 from .errors import BoundTooSmall, NotRank2
 from .lattices import EvenLattice, LatticeMap, is_indefinite, signature
@@ -29,7 +28,7 @@ def nikulin_unique(lattice: EvenLattice) -> bool:
     """Indefinite with rank >= l(A) + 2: singleton genus, surjective r_L."""
     if not is_indefinite(lattice):
         return False
-    return lattice.rank >= min_generators(discriminant_form(lattice)) + 2
+    return lattice.rank >= discriminant_form(lattice).ngens + 2
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,24 @@ class _Transformed:
 
     def reduce(self):
         a = self.a
-        t = 0
+        limit = min(self.rows, self.cols)
+        self._diagonalize(0)
+        # enforce the divisibility chain d_1 | d_2 | ...; each fix re-clears
+        # from the 2x2 block it creates, then the scan restarts
+        k = 0
+        while k < limit - 1:
+            dk, dn = a[k][k], a[k + 1][k + 1]
+            if dk != 0 and dn % dk != 0:
+                self.add_col(k, k + 1, 1)
+                self._diagonalize(k)
+                k = 0
+            else:
+                k += 1
+
+    def _diagonalize(self, t):
+        # pivot on the smallest entry and clear its row and column, from
+        # position t on, until the remaining block is zero
+        a = self.a
         limit = min(self.rows, self.cols)
         while t < limit:
             where = self._pivot(t)
@@ -261,46 +278,6 @@ class _Transformed:
             if a[t][t] < 0:
                 self.negate_row(t)
             t += 1
-        # enforce the divisibility chain d_1 | d_2 | ...
-        changed = True
-        while changed:
-            changed = False
-            for k in range(limit - 1):
-                dk, dn = a[k][k], a[k + 1][k + 1]
-                if dk != 0 and dn % dk != 0:
-                    self.add_col(k, k + 1, 1)
-                    self._requeue(k)
-                    changed = True
-                    break
-
-    def _requeue(self, t):
-        # re-clear the 2x2 block created by the divisibility fix
-        a = self.a
-        while True:
-            where = self._pivot(t)
-            i, j = where
-            self.swap_rows(t, i)
-            self.swap_cols(t, j)
-            while True:
-                for i in range(t + 1, self.rows):
-                    if a[i][t]:
-                        self.add_row(i, t, -(a[i][t] // a[t][t]))
-                        if a[i][t]:
-                            self.swap_rows(t, i)
-                for j in range(t + 1, self.cols):
-                    if a[t][j]:
-                        self.add_col(j, t, -(a[t][j] // a[t][t]))
-                        if a[t][j]:
-                            self.swap_cols(t, j)
-                if all(a[i][t] == 0 for i in range(t + 1, self.rows)) and all(
-                    a[t][j] == 0 for j in range(t + 1, self.cols)
-                ):
-                    break
-            if a[t][t] < 0:
-                self.negate_row(t)
-            t += 1
-            if t >= min(self.rows, self.cols) or self._pivot(t) is None:
-                break
 
 
 def snf_transforms(mat):

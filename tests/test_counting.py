@@ -10,7 +10,6 @@ from cuspcount.counting import (
     count_fm_elliptic,
     count_fm_elliptic_sec,
     euler_phi,
-    gamma_image,
     mu1_fiber_ur,
     num_prime_factors,
     route_crosscheck,
@@ -34,12 +33,12 @@ def _q_rank1_oracle(two_k, c):
 class TestModel:
     def test_generic_group(self):
         model = K3Model.generic(U(3))
-        assert gamma_image(model).order() == 2
+        assert model.hodge_image.order() == 2
 
     def test_generic_on_two_torsion(self):
         # -id is the identity when the exponent divides 2
         model = K3Model.generic(U(2))
-        assert gamma_image(model).order() == 1
+        assert model.hodge_image.order() == 1
 
     def test_rejects_wrong_signature(self):
         with pytest.raises(BadParams):
@@ -48,7 +47,7 @@ class TestModel:
     def test_full_group_model(self):
         form = discriminant_form(U(3))
         model = K3Model(U(3), aut_group(form))
-        assert gamma_image(model).order() == 4
+        assert model.hodge_image.order() == 4
 
 
 class TestCuspCounts:
@@ -335,3 +334,108 @@ class TestConjugationInvariance:
                     count_cusps_zero_dim(model, d).value
                     == count_cusps_zero_dim(K3Model.generic(ns), d).value
                 )
+
+
+class TestMoveSubgroup:
+    """Each branch of the subgroup transport.  The source is A of
+    diag(6, -10); the target is the same lattice in the basis (e1, e1 + e2),
+    whose discriminant form is isomorphic but written differently."""
+
+    @staticmethod
+    def forms():
+        from cuspcount.lattices import make_lattice
+
+        source = discriminant_form(diag(6, -10))
+        target = discriminant_form(make_lattice(((6, 6), (6, -4))))
+        assert source != target and source.orders == target.orders
+        return source, target
+
+    @staticmethod
+    def elements(sub):
+        return {iso.matrix for iso in sub.elements}
+
+    def test_same_form(self):
+        from cuspcount.counting import _move_subgroup
+
+        source, _ = self.forms()
+        sub = aut_group(source)
+        assert _move_subgroup(sub, source) is sub
+
+    def test_order_one(self):
+        from cuspcount.counting import _move_subgroup
+
+        source, target = self.forms()
+        moved = _move_subgroup(trivial_subgroup(source), target)
+        assert moved.form == target
+        assert moved.order() == 1
+
+    def test_plus_minus(self):
+        from cuspcount.counting import _move_subgroup
+
+        source, target = self.forms()
+        moved = _move_subgroup(plus_minus_subgroup(source), target)
+        assert moved.form == target
+        assert self.elements(moved) == self.elements(plus_minus_subgroup(target))
+
+    def test_full_group_by_isomorphism_search(self):
+        from cuspcount.counting import _move_subgroup
+
+        source, target = self.forms()
+        full = aut_group(source)
+        assert full.order() == 8  # larger than {+-id}: no shortcut applies
+        moved = _move_subgroup(full, target)
+        assert moved.form == target
+        assert self.elements(moved) == self.elements(aut_group(target))
+
+    def test_stabilizer_image_on_another_form(self):
+        # caller-supplied orbit data may carry its stabilizer image on any
+        # isomorphic form; the count must equal the one taken on that form
+        from cuspcount.counting import IsotropicOrbitDatum
+        from cuspcount.discriminant import FqfIsometry, double_coset_count
+        from cuspcount.lattices import make_lattice
+
+        source, target = self.forms()
+        ns = make_lattice(((6, 6), (6, -4)))
+        g = FqfIsometry(source, ((1, 0), (0, 11)))
+        stab = fqf_subgroup(source, (g,))
+        assert stab.order() == 2 and g not in plus_minus_subgroup(source)
+        # counting reads only the stabilizer image, not the vector
+        datum = IsotropicOrbitDatum((1, 0), stab, True)
+        report = count_fm_elliptic(
+            K3Model.generic(ns), genus_list=[ns], orbit_data={ns: (datum,)}
+        )
+        expected = double_coset_count(plus_minus_subgroup(source), aut_group(source), stab)
+        assert report.value == expected == 2
+        assert report.exact
+
+
+class TestCallerInputs:
+    def test_caller_certified_genus_list(self):
+        report = count_fm(K3Model.generic(U(12)), genus_list=[U(12)])
+        assert report.value == count_fm(K3Model.generic(U(12))).value == 4
+        assert report.exact
+        assert report.window_note == "1 genus class(es); caller-certified genus list"
+
+    def test_sectioned_count_with_user_generators(self):
+        from cuspcount.counting import OMGenerators
+        from cuspcount.discriminant import double_coset_count
+        from cuspcount.isotropic import quotient_lattice, section_vector
+        from cuspcount.lattices import LatticeIsometry
+
+        ns = sums(U(1), diag(-2, -4))
+        model = K3Model.generic(ns)
+        quot = quotient_lattice(ns, section_vector(ns, 4))
+        minus = (LatticeIsometry.minus_identity(quot),)
+
+        unattested = {quot: OMGenerators(minus, complete=False)}
+        report = count_fm_elliptic_sec(model, gens=unattested, quotient_genus=[quot])
+        assert report.value == 1  # certified minimum for the one genus class
+        assert not report.exact
+        assert report.window_note.endswith("; lower bound (incomplete inputs)")
+
+        attested = {quot: OMGenerators(minus, complete=True)}
+        report = count_fm_elliptic_sec(model, gens=attested, quotient_genus=[quot])
+        form = discriminant_form(quot)
+        pm = plus_minus_subgroup(form)
+        assert report.value == double_coset_count(pm, aut_group(form), pm)
+        assert report.exact

@@ -84,3 +84,97 @@ def test_solve_integer():
     assert intmat.solve_integer(mat, (4, 9, 5)) == (2, 3)
     assert intmat.solve_integer(mat, (4, 9, 6)) is None
     assert intmat.solve_rational(((2,),), (1,)) == (Fraction(1, 2),)
+
+
+class _ReferenceWorker(intmat._Transformed):
+    """The Smith reduction as it stood before its pivot-and-clear loop became
+    one pass: reduce, plus a second copy of the loop in _requeue for the
+    divisibility fix.  Kept only to pin the exact operation sequence, which
+    fixes U and V and so the discriminant generators that disc and aut print."""
+
+    requeues = 0
+
+    def reduce(self):
+        a = self.a
+        t = 0
+        limit = min(self.rows, self.cols)
+        while t < limit:
+            where = self._pivot(t)
+            if where is None:
+                break
+            self.swap_rows(t, where[0])
+            self.swap_cols(t, where[1])
+            while True:
+                for i in range(t + 1, self.rows):
+                    if a[i][t]:
+                        self.add_row(i, t, -(a[i][t] // a[t][t]))
+                        if a[i][t]:
+                            self.swap_rows(t, i)
+                for j in range(t + 1, self.cols):
+                    if a[t][j]:
+                        self.add_col(j, t, -(a[t][j] // a[t][t]))
+                        if a[t][j]:
+                            self.swap_cols(t, j)
+                if all(a[i][t] == 0 for i in range(t + 1, self.rows)) and all(
+                    a[t][j] == 0 for j in range(t + 1, self.cols)
+                ):
+                    break
+            if a[t][t] < 0:
+                self.negate_row(t)
+            t += 1
+        # enforce the divisibility chain d_1 | d_2 | ...
+        changed = True
+        while changed:
+            changed = False
+            for k in range(limit - 1):
+                dk, dn = a[k][k], a[k + 1][k + 1]
+                if dk != 0 and dn % dk != 0:
+                    self.add_col(k, k + 1, 1)
+                    self._requeue(k)
+                    changed = True
+                    break
+
+    def _requeue(self, t):
+        _ReferenceWorker.requeues += 1
+        # re-clear the 2x2 block created by the divisibility fix
+        a = self.a
+        while True:
+            where = self._pivot(t)
+            i, j = where
+            self.swap_rows(t, i)
+            self.swap_cols(t, j)
+            while True:
+                for i in range(t + 1, self.rows):
+                    if a[i][t]:
+                        self.add_row(i, t, -(a[i][t] // a[t][t]))
+                        if a[i][t]:
+                            self.swap_rows(t, i)
+                for j in range(t + 1, self.cols):
+                    if a[t][j]:
+                        self.add_col(j, t, -(a[t][j] // a[t][t]))
+                        if a[t][j]:
+                            self.swap_cols(t, j)
+                if all(a[i][t] == 0 for i in range(t + 1, self.rows)) and all(
+                    a[t][j] == 0 for j in range(t + 1, self.cols)
+                ):
+                    break
+            if a[t][t] < 0:
+                self.negate_row(t)
+            t += 1
+            if t >= min(self.rows, self.cols) or self._pivot(t) is None:
+                break
+
+
+def test_snf_transforms_match_reference_operation_sequence(rng):
+    freeze = intmat.freeze
+    _ReferenceWorker.requeues = 0
+    # entries stay within +-20 and sizes within 5x5: larger inputs blow up
+    # the coefficients of the transforms
+    for _ in range(3000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = freeze([[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)])
+        ref = _ReferenceWorker(mat)
+        ref.reduce()
+        expected = tuple(freeze(x) for x in (ref.u, ref.uinv, ref.a, ref.v, ref.vinv))
+        assert intmat.snf_transforms(mat) == expected
+    assert _ReferenceWorker.requeues > 0  # the divisibility fix was exercised
