@@ -282,7 +282,11 @@ def count_fm(
     """Partner count: sum of double cosets hodge \\ O(A_M) / r_M(O(M)) over
     the genus of the Picard lattice."""
     limit = resolve_budget(budget)
-    genus_list, genus_complete, genus_note = _genus_of(model.ns, limit, genus_list)
+    return _count_fm(model, gens, _genus_of(model.ns, limit, genus_list), limit)
+
+
+def _count_fm(model: K3Model, gens: Optional[dict], genus: tuple, limit) -> CountReport:
+    genus_list, genus_complete, genus_note = genus
     total, _, minima, _ = _genus_sum(
         model.hodge_image, genus_list, _om_image(gens, limit), limit
     )
@@ -539,12 +543,11 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
     phi = euler_phi(r)
 
     form = discriminant_form(ur)
-    reps = genus_representatives_rank2(
-        GenusQuery((1, 1), form, max(form.order(), r) + 1), budget=limit
-    )
+    genus = _genus_of(ur, limit)
+    reps = genus[0]
     genus_singleton = len(reps) == 1 and equivalent_rank2(reps[0], ur) is not None
 
-    fm = count_fm(model, budget=limit)
+    fm = _count_fm(model, None, genus, limit)
     fm_expected = (2**tau * phi) // 4
     if (2**tau * phi) % 4 != 0:
         raise AssertionError("2^(tau-2) phi(r) must be an integer for r > 2")
@@ -559,7 +562,7 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
         for iso in model.hodge_image.elements
     )
 
-    fm_ell = count_fm_elliptic(model, budget=limit)
+    fm_ell = count_fm_elliptic(model, genus_list=reps, budget=limit)  # the sweep is complete
     fm_ell_expected = (2**tau * phi) // 2
 
     mu1 = mu1_fiber_ur(r)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from conftest import U, diag, sums
 
+from cuspcount import counting
 from cuspcount.counting import (
     K3Model,
     count_cusps_zero_dim,
@@ -439,3 +440,25 @@ class TestCallerInputs:
         pm = plus_minus_subgroup(form)
         assert report.value == double_coset_count(pm, aut_group(form), pm)
         assert report.exact
+
+
+class TestOneResolutionPerQuery:
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls = []
+        real = getattr(counting, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("r", [3, 12, 30])
+    def test_one_genus_sweep_per_ur_example(self, monkeypatch, r):
+        calls = self._spy(monkeypatch, "genus_representatives_rank2")
+        report = ur_example(r)
+        assert report.passed
+        assert report.fm.window_note == "1 genus class(es); complete rank-2 reduction sweep"
+        assert len(calls) == 1
