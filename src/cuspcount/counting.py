@@ -190,18 +190,18 @@ def _genus_of(lattice: EvenLattice, budget, given: Optional[list] = None) -> tup
 
 
 def _r_image_of_om(
-    lattice: EvenLattice, gens: Optional[OMGenerators], budget
+    lattice: EvenLattice, gens: Optional[OMGenerators], ambient, budget=None
 ) -> Optional[FqfSubgroup]:
     """r_M(O(M)) as a subgroup of O(A_M), or None when it is not certified.
 
     Complete lists are built in only where a theorem provides them: the
     indefinite-surjectivity criterion, rank <= 1, and the U(r) shape.
     User generators are mapped (natural_map validates each one) and count
-    only when attested complete.
+    only when attested complete.  ambient is O(A_M), or None to build it.
     """
     form = discriminant_form(lattice)
-    if nikulin_unique(lattice):
-        return aut_group(form, budget=budget)  # surjective (indefinite criterion)
+    if nikulin_unique(lattice):  # surjective (indefinite criterion)
+        return ambient if ambient is not None else aut_group(form, budget=budget)
     if lattice.rank == 0:
         return trivial_subgroup(form)
     if lattice.rank == 1:
@@ -220,16 +220,16 @@ def _r_image_of_om(
     return fqf_subgroup(form, mapped) if gens.complete else None
 
 
-def _om_image(gens: Optional[dict], budget):
+def _om_image(gens: Optional[dict]):
     """right_factors of a partner count: the one image r_M(O(M))."""
-    return lambda m: ((_r_image_of_om(m, gens.get(m) if gens else None, budget),), True)
+    return lambda m, ambient: ((_r_image_of_om(m, gens.get(m) if gens else None, ambient),), True)
 
 
 def _genus_sum(hodge: FqfSubgroup, members, right_factors, budget) -> tuple:
     """Sum of double cosets hodge \\ O(A_M) / R over the genus members M.
 
-    right_factors(M) gives (factors, complete?): subgroups R on forms
-    isomorphic to A_M, or None for an unknown image, which scores its
+    right_factors(M, O(A_M)) gives (factors, complete?): subgroups R on
+    forms isomorphic to A_M, or None for an unknown image, which scores its
     certified minimum of one class.  Returns (total, terms, minima, complete).
     """
     total = terms = minima = 0
@@ -238,7 +238,7 @@ def _genus_sum(hodge: FqfSubgroup, members, right_factors, budget) -> tuple:
         form = discriminant_form(member)
         ambient = aut_group(form, budget=budget)
         moved = _move_subgroup(hodge, form)
-        factors, factors_complete = right_factors(member)
+        factors, factors_complete = right_factors(member, ambient)
         complete = complete and factors_complete
         for factor in factors:
             terms += 1
@@ -288,7 +288,7 @@ def count_fm(
 def _count_fm(model: K3Model, gens: Optional[dict], genus: tuple, limit) -> CountReport:
     genus_list, genus_complete, genus_note = genus
     total, _, minima, _ = _genus_sum(
-        model.hodge_image, genus_list, _om_image(gens, limit), limit
+        model.hodge_image, genus_list, _om_image(gens), limit
     )
     exact = genus_complete and not minima
     note = f"{len(genus_list)} genus class(es); {genus_note}"
@@ -324,7 +324,7 @@ def derive_orbit_data(
     out = []
     all_stab_complete = True
     for cls in classes:
-        image = _r_image_of_om(cls.quotient, None, budget)
+        image = _r_image_of_om(cls.quotient, None, None, budget)
         stab = None if image is None else _move_subgroup(image, form)
         out.append(IsotropicOrbitDatum(cls.representative.vector, stab, image is not None))
         all_stab_complete = all_stab_complete and image is not None
@@ -358,7 +358,7 @@ def count_fm_elliptic(
             if all(key != member for member in genus_list):
                 raise IncompleteInputs("orbit data supplied for a lattice outside the genus list")
 
-    def stabilizers(member: EvenLattice) -> tuple:
+    def stabilizers(member: EvenLattice, _ambient) -> tuple:
         if orbit_data is not None and member in orbit_data:
             data, complete = tuple(orbit_data[member]), True
         else:
@@ -396,7 +396,7 @@ def count_fm_elliptic_sec(
     quot = quotient_lattice(model.ns, section)
     quotient_genus, genus_complete, _ = _genus_of(quot, limit, quotient_genus)
     total, _, minima, _ = _genus_sum(
-        model.hodge_image, quotient_genus, _om_image(gens, limit), limit
+        model.hodge_image, quotient_genus, _om_image(gens), limit
     )
     exact = genus_complete and not minima
     note = f"section at {list(section)}; {len(quotient_genus)} quotient genus class(es)"

@@ -462,3 +462,10 @@ class TestOneResolutionPerQuery:
         assert report.passed
         assert report.fm.window_note == "1 genus class(es); complete rank-2 reduction sweep"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("ns", [sums(U(1), diag(-2, -2)), sums(U(1), diag(-4))])
+    def test_one_aut_group_per_form_in_count_fm(self, monkeypatch, ns):
+        calls = self._spy(monkeypatch, "aut_group")
+        report = count_fm(K3Model.generic(ns))
+        assert (report.value, report.exact) == (1, True)
+        assert calls == [discriminant_form(ns)]
