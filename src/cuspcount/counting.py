@@ -24,6 +24,7 @@ from .discriminant import (
     FiniteQuadraticForm,
     FqfIsometry,
     FqfSubgroup,
+    _check_budget,
     _disc_data,
     _prime_factors,
     aut_group,
@@ -34,13 +35,11 @@ from .discriminant import (
     isotropic_elements,
     natural_map,
     plus_minus_subgroup,
-    resolve_budget,
     transport_subgroup,
     trivial_subgroup,
 )
 from .errors import (
     BadParams,
-    BudgetExceeded,
     HypothesisFails,
     IncompleteInputs,
     NoneFoundInWindow,
@@ -172,7 +171,7 @@ def _move_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgroup
     return transport_subgroup(sub, psi, target)
 
 
-def _genus_of(lattice: EvenLattice, budget, given: Optional[list] = None) -> tuple:
+def _genus_of(lattice: EvenLattice, given: Optional[list] = None) -> tuple:
     """(representatives, certified_complete, note); a given list is certified
     by its caller."""
     if given is not None:
@@ -182,9 +181,7 @@ def _genus_of(lattice: EvenLattice, budget, given: Optional[list] = None) -> tup
     if lattice.rank == 2:
         form = discriminant_form(lattice)
         bound = max(form.order(), form.exponent()) + 1
-        reps = genus_representatives_rank2(
-            GenusQuery(signature(lattice), form, bound), budget
-        )
+        reps = genus_representatives_rank2(GenusQuery(signature(lattice), form, bound))
         return reps, True, "complete rank-2 reduction sweep"
     return [lattice], False, "genus not enumerable at this rank; using the given class only"
 
@@ -259,9 +256,8 @@ def count_cusps_zero_dim(
     the number of divisor-d boundary points exactly when a hyperbolic plane
     embeds in the Picard lattice.
     """
-    limit = resolve_budget(budget)
     form = discriminant_form(model.ns)
-    elements = isotropic_elements(form, d, budget=limit)
+    elements = isotropic_elements(form, d, budget=budget)
     value = _orbit_count(elements, model.hodge_image)
     if section_vector(model.ns, height_bound) is not None:
         note = "coarse class count; equals the divisor-%d cusp count (hyperbolic plane embeds)" % d
@@ -281,14 +277,13 @@ def count_fm(
 ) -> CountReport:
     """Partner count: sum of double cosets hodge \\ O(A_M) / r_M(O(M)) over
     the genus of the Picard lattice."""
-    limit = resolve_budget(budget)
-    return _count_fm(model, gens, _genus_of(model.ns, limit, genus_list), limit)
+    return _count_fm(model, gens, _genus_of(model.ns, genus_list), budget)
 
 
-def _count_fm(model: K3Model, gens: Optional[dict], genus: tuple, limit) -> CountReport:
+def _count_fm(model: K3Model, gens: Optional[dict], genus: tuple, budget) -> CountReport:
     genus_list, genus_complete, genus_note = genus
     total, _, minima, _ = _genus_sum(
-        model.hodge_image, genus_list, _om_image(gens), limit
+        model.hodge_image, genus_list, _om_image(gens), budget
     )
     exact = genus_complete and not minima
     note = f"{len(genus_list)} genus class(es); {genus_note}"
@@ -332,7 +327,7 @@ def derive_orbit_data(
     quotient_classes_known = None
     if classes:
         quot = classes[0].quotient
-        reps, certified, _ = _genus_of(quot, budget)
+        reps, certified, _ = _genus_of(quot)
         if certified:
             quotient_classes_known = len(reps)
     div1_complete = quotient_classes_known is not None and len(classes) == quotient_classes_known
@@ -351,8 +346,7 @@ def count_fm_elliptic(
 ) -> CountReport:
     """Elliptic-pair count: double cosets hodge \\ O(A_M) / r_M(O(M)^k),
     summed over genus classes M and isotropic orbits [k] on M."""
-    limit = resolve_budget(budget)
-    genus_list, genus_complete, _ = _genus_of(model.ns, limit, genus_list)
+    genus_list, genus_complete, _ = _genus_of(model.ns, genus_list)
     if orbit_data is not None:
         for key in orbit_data:
             if all(key != member for member in genus_list):
@@ -362,11 +356,11 @@ def count_fm_elliptic(
         if orbit_data is not None and member in orbit_data:
             data, complete = tuple(orbit_data[member]), True
         else:
-            data, complete = derive_orbit_data(member, limit, height_bound)
+            data, complete = derive_orbit_data(member, budget, height_bound)
         return tuple(d.stabilizer_image if d.complete else None for d in data), complete
 
     total, terms, minima, complete = _genus_sum(
-        model.hodge_image, genus_list, stabilizers, limit
+        model.hodge_image, genus_list, stabilizers, budget
     )
     exact = genus_complete and complete and not minima
     note = f"{terms} (class, orbit) term(s) within |coords| <= {height_bound}"
@@ -384,7 +378,6 @@ def count_fm_elliptic_sec(
 ) -> CountReport:
     """Sectioned elliptic count: double cosets over the genus of l^perp/Zl
     for a divisor-1 isotropic l in the Picard lattice."""
-    limit = resolve_budget(budget)
     section = section_vector(model.ns, height_bound)
     if section is None:
         return CountReport(
@@ -394,9 +387,9 @@ def count_fm_elliptic_sec(
             f"NoSectionClass: no divisor-1 isotropic vector with |coords| <= {height_bound}",
         )
     quot = quotient_lattice(model.ns, section)
-    quotient_genus, genus_complete, _ = _genus_of(quot, limit, quotient_genus)
+    quotient_genus, genus_complete, _ = _genus_of(quot, quotient_genus)
     total, _, minima, _ = _genus_sum(
-        model.hodge_image, quotient_genus, _om_image(gens), limit
+        model.hodge_image, quotient_genus, _om_image(gens), budget
     )
     exact = genus_complete and not minima
     note = f"section at {list(section)}; {len(quotient_genus)} quotient genus class(es)"
@@ -466,20 +459,19 @@ def route_crosscheck(
 ) -> RouteCrosscheck:
     """When a hyperbolic plane embeds in the Picard lattice, the partner
     count must be 1 and per-divisor cusp counts are exact twisted counts."""
-    limit = resolve_budget(budget)
     section = section_vector(model.ns, height_bound)
     if section is None:
         raise HypothesisFails(
             f"no divisor-1 isotropic vector with |coords| <= {height_bound}"
         )
     hyperbolic_completion(model.ns, section)  # must succeed: U really embeds
-    fm = count_fm(model, budget=limit)
-    cusp1 = count_cusps_zero_dim(model, 1, budget=limit, height_bound=height_bound)
+    fm = count_fm(model, budget=budget)
+    cusp1 = count_cusps_zero_dim(model, 1, budget=budget, height_bound=height_bound)
     form = discriminant_form(model.ns)
     exponent = form.exponent()
     divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
     per_d = tuple(
-        (d, count_cusps_zero_dim(model, d, budget=limit, height_bound=height_bound).value)
+        (d, count_cusps_zero_dim(model, d, budget=budget, height_bound=height_bound).value)
         for d in divisors
     )
     passed = fm.value == 1 and fm.exact and cusp1.value == 1
@@ -534,20 +526,18 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
     """
     if r <= 2:
         raise BadParams("the U(r) family needs r > 2")
-    limit = resolve_budget(budget)
-    if r * r > limit:
-        raise BudgetExceeded(f"|A| = {r * r} exceeds the budget {limit}")
+    _check_budget(r * r, budget)
     ur = named_lattice("U", (r,))
     model = K3Model.generic(ur)
     tau = num_prime_factors(r)
     phi = euler_phi(r)
 
     form = discriminant_form(ur)
-    genus = _genus_of(ur, limit)
+    genus = _genus_of(ur)
     reps = genus[0]
     genus_singleton = len(reps) == 1 and equivalent_rank2(reps[0], ur) is not None
 
-    fm = _count_fm(model, None, genus, limit)
+    fm = _count_fm(model, None, genus, budget)
     fm_expected = (2**tau * phi) // 4
     if (2**tau * phi) % 4 != 0:
         raise AssertionError("2^(tau-2) phi(r) must be an integer for r > 2")
@@ -562,7 +552,7 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
         for iso in model.hodge_image.elements
     )
 
-    fm_ell = count_fm_elliptic(model, genus_list=reps, budget=limit)  # the sweep is complete
+    fm_ell = count_fm_elliptic(model, genus_list=reps, budget=budget)  # the sweep is complete
     fm_ell_expected = (2**tau * phi) // 2
 
     mu1 = mu1_fiber_ur(r)

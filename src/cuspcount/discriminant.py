@@ -21,6 +21,7 @@ from typing import Iterable, Optional
 
 from . import intmat
 from .errors import (
+    BadParams,
     BudgetExceeded,
     LatticeError,
     NotIsometry,
@@ -38,9 +39,20 @@ def resolve_budget(budget: Optional[int] = None) -> int:
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
+    if not env:
+        return DEFAULT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise BadParams(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+
+
+def _check_budget(order: int, budget: Optional[int]) -> None:
+    """Raise BudgetExceeded when an enumeration over a group of this order
+    exceeds the resolved budget."""
+    limit = resolve_budget(budget)
+    if order > limit:
+        raise BudgetExceeded(f"|A| = {order} exceeds the budget {limit}")
 
 
 def _prime_factors(n: int) -> tuple:
@@ -599,9 +611,7 @@ def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: s
     method="direct" enumerates generator images on the whole group.  Both
     agree; the direct route exists as a cross-check.
     """
-    limit = resolve_budget(budget)
-    if form.order() > limit:
-        raise BudgetExceeded(f"|A| = {form.order()} exceeds the budget {limit}")
+    _check_budget(form.order(), budget)
     if method == "direct":
         isos = _aut_direct(form)
     elif method == "primary":
@@ -637,9 +647,7 @@ def natural_map(lattice: EvenLattice, isometry) -> FqfIsometry:
 
 def isotropic_elements(form: FiniteQuadraticForm, d: int, budget: Optional[int] = None) -> list:
     """All x with q(x) = 0 in Q/2Z and exact order d, in canonical order."""
-    limit = resolve_budget(budget)
-    if form.order() > limit:
-        raise BudgetExceeded(f"|A| = {form.order()} exceeds the budget {limit}")
+    _check_budget(form.order(), budget)
     if form.exponent() % d != 0:
         return []
     return sorted(
@@ -649,9 +657,7 @@ def isotropic_elements(form: FiniteQuadraticForm, d: int, budget: Optional[int] 
 
 def isotropic_subgroups(form: FiniteQuadraticForm, order: int, budget: Optional[int] = None) -> list:
     """All subgroups of the given order on which q vanishes identically."""
-    limit = resolve_budget(budget)
-    if form.order() > limit:
-        raise BudgetExceeded(f"|A| = {form.order()} exceeds the budget {limit}")
+    _check_budget(form.order(), budget)
     zero = form.zero()
     if order == 1:
         return [(zero,)]
@@ -754,13 +760,11 @@ class IsogenyResult:
 
 def is_isogenus(left: EvenLattice, right: EvenLattice, budget: Optional[int] = None) -> IsogenyResult:
     """Same signature plus an explicit isomorphism of discriminant forms."""
-    limit = resolve_budget(budget)
     if signature(left) != signature(right):
         return IsogenyResult(False, None)
     if abs(left.det()) != abs(right.det()):
         return IsogenyResult(False, None)
-    if abs(left.det()) > limit:
-        raise BudgetExceeded(f"|A| = {abs(left.det())} exceeds the budget {limit}")
+    _check_budget(abs(left.det()), budget)
     witness = fqf_isomorphism(discriminant_form(left), discriminant_form(right))
     return IsogenyResult(witness is not None, witness)
 

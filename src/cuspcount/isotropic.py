@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import intmat
-from .discriminant import is_isogenus, resolve_budget
+from .discriminant import is_isogenus
 from .errors import (
     DivisorNotOne,
     DoesNotFixL,
@@ -390,7 +390,6 @@ def classify_i1_orbits(
     Same genus class of l^perp/Zl means same O(L)-orbit, so the cells are
     orbit classes (complete only relative to the window).
     """
-    limit = resolve_budget(budget)
     vectors = [iv for iv in enumerate_isotropic(lattice, height_bound) if iv.divisor == 1]
     if not vectors:
         raise NoneFoundInWindow(
@@ -400,7 +399,7 @@ def classify_i1_orbits(
     for iv in vectors:
         quot = quotient_lattice(lattice, iv.vector)
         for idx, (rep, members, rep_quot) in enumerate(classes):
-            if is_isogenus(rep_quot, quot, budget=limit):
+            if is_isogenus(rep_quot, quot, budget=budget):
                 classes[idx] = (rep, members + [iv], rep_quot)
                 break
         else:

@@ -202,6 +202,14 @@ class TestExitCodes:
         code, _ = run_cli("aut", "U(11)")
         assert code == 0
 
+    def test_malformed_budget_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("CUSPCOUNT_BUDGET", "abc")
+        code, out = run_cli("aut", "U(2)")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "cuspcount: CUSPCOUNT_BUDGET must be an integer, got 'abc'\n"
+        )
+
 
 class TestReportContracts:
     def test_schema_validation(self):

@@ -110,7 +110,7 @@ class TestAutGroup:
                 assert form.q(iso.apply(x)) == form.q(x)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=r"^\|A\| = 100 exceeds the budget 50$"):
             aut_group(discriminant_form(U(10)), budget=50)
 
 
@@ -265,6 +265,10 @@ class TestIsotropicElements:
         form = discriminant_form(diag(-4))
         assert isotropic_elements(form, 2) == []
 
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded, match=r"^\|A\| = 100 exceeds the budget 50$"):
+            isotropic_elements(discriminant_form(U(10)), 2, budget=50)
+
 
 class TestIsotropicSubgroups:
     def test_u2_two_lines(self):
@@ -281,6 +285,10 @@ class TestIsotropicSubgroups:
     def test_order_one(self):
         form = discriminant_form(U(4))
         assert isotropic_subgroups(form, 1) == [(form.zero(),)]
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded, match=r"^\|A\| = 100 exceeds the budget 50$"):
+            isotropic_subgroups(discriminant_form(U(10)), 10, budget=50)
 
 
 class TestOverlattice:
@@ -328,6 +336,7 @@ class TestIsogeny:
 
     def test_det_obstruction(self):
         assert not is_isogenus(U(1), U(2))
+        assert not is_isogenus(U(10), U(5), budget=1)  # decided before the budget check
 
     def test_witness_preserves_form(self):
         left, right = sums(U(3), U(1)), sums(U(1), U(3))
@@ -340,6 +349,11 @@ class TestIsogeny:
 
     def test_signature_obstruction(self):
         assert not is_isogenus(sums(U(1), diag(2)), sums(U(1), diag(-2)))
+        assert not is_isogenus(U(10), diag(-2, -50), budget=1)
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceeded, match=r"^\|A\| = 100 exceeds the budget 50$"):
+            is_isogenus(U(10), U(10), budget=50)
 
 
 class TestDoubleCosets:
