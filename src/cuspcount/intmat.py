@@ -1,12 +1,14 @@
-"""Exact integer/rational matrix primitives.
+"""Exact integer matrix primitives.
 
 Matrices are immutable tuples of int rows.  Everything here is exact:
-arbitrary-precision ints, Fractions where division is unavoidable, no
-floating point anywhere.
+arbitrary-precision ints, no floating point anywhere.  Elimination is
+fraction-free; the only Fractions are the coordinates solve_rational
+returns, built once each at the end.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -40,17 +42,14 @@ def matmul(a, b) -> Matrix:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb))
-        for i in range(ra)
-    )
+    b_cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in b_cols) for row in a)
 
 
 def matvec(mat, vec) -> tuple:
-    rows, cols = shape(mat)
-    if cols != len(vec):
+    if shape(mat)[1] != len(vec):
         raise ValueError("shape mismatch in matvec")
-    return tuple(sum(mat[i][j] * vec[j] for j in range(cols)) for i in range(rows))
+    return tuple(sum(map(operator.mul, row, vec)) for row in mat)
 
 
 def columns(mat):
@@ -108,16 +107,18 @@ def det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_rational(mat, rhs) -> Optional[tuple]:
-    """Solve mat @ x = rhs exactly.
+def _solve(mat, rhs) -> Optional[list]:
+    """Fraction-free Gauss-Jordan elimination of mat @ x = rhs.
 
-    mat must have full column rank; returns a tuple of Fractions, or None
-    when the system is inconsistent.
+    Returns (numerator, denominator) per coordinate, or None when the
+    system is inconsistent.  Each row is an int multiple of the row that
+    rational Gauss-Jordan would hold, so the pivots and the consistency
+    test are the same; every new row is divided by its content.
     """
     rows, cols = shape(mat)
     if len(rhs) != rows:
         raise ValueError("rhs length mismatch")
-    a = [[Fraction(mat[i][j]) for j in range(cols)] + [Fraction(rhs[i])] for i in range(rows)]
+    a = [list(mat[i]) + [rhs[i]] for i in range(rows)]
     pivots = []
     r = 0
     for c in range(cols):
@@ -125,33 +126,44 @@ def solve_rational(mat, rhs) -> Optional[tuple]:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        top = a[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if i != r and f != 0:
+                row = [p * x - f * y for x, y in zip(a[i], top)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
     if len(pivots) < cols:
         raise ValueError("matrix does not have full column rank")
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
+    if any(a[i][cols] != 0 for i in range(r, rows)):
+        return None
+    x = [(0, 1)] * cols
     for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
-    return tuple(x)
+        x[c] = (a[i][cols], a[i][c])
+    return x
+
+
+def solve_rational(mat, rhs) -> Optional[tuple]:
+    """Solve mat @ x = rhs exactly.
+
+    mat must have full column rank; returns a tuple of Fractions, or None
+    when the system is inconsistent.
+    """
+    sol = _solve(mat, rhs)
+    return None if sol is None else tuple(Fraction(n, d) for n, d in sol)
 
 
 def solve_integer(mat, rhs) -> Optional[tuple]:
     """Integer solution of mat @ x = rhs (full column rank), else None."""
-    sol = solve_rational(mat, rhs)
-    if sol is None or any(f.denominator != 1 for f in sol):
+    sol = _solve(mat, rhs)
+    if sol is None or any(n % d for n, d in sol):
         return None
-    return tuple(int(f) for f in sol)
+    return tuple(n // d for n, d in sol)
 
 
 def inv_unimodular(mat) -> Matrix:
@@ -307,19 +319,23 @@ def smith_diagonal(mat) -> tuple:
 
 
 def kernel_basis(mat) -> Matrix:
-    """Columns spanning the full integer kernel of mat (saturated), HNF-canonical."""
+    """Columns spanning the full integer kernel of mat (saturated), HNF-canonical.
+
+    The rows of [mat^T | I] span the pairs (mat x, x) for x in Z^cols.  In
+    the row HNF of that lattice the rows that vanish on the mat^T part span
+    exactly the pairs (0, x) with mat x = 0, and they are themselves in row
+    HNF, which is unique: their right parts are the kernel basis.
+    """
     rows, cols = shape(mat)
     if cols == 0:
         return ()
-    _, _, d, v, _ = snf_transforms(mat)
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    cols_v = columns(v)[rank:]
-    if not cols_v:
+    stacked = [row + unit for row, unit in zip(transpose(mat), identity(cols))]
+    canon = [row[rows:] for row in hnf_rows(stacked) if not any(row[:rows])]
+    if not canon:
         return tuple(() for _ in range(cols))
-    canon = hnf_rows(transpose(from_columns(cols_v)))
     basis = transpose(canon)
-    for col in columns(basis):
-        if any(x != 0 for x in matvec(mat, col)):
+    for col in canon:
+        if any(matvec(mat, col)):
             raise AssertionError("kernel basis check failed")
     return basis
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import intmat
-from .discriminant import is_isogenus
+from .discriminant import _check_budget, discriminant_form, fqf_isomorphism
 from .errors import (
     DivisorNotOne,
     DoesNotFixL,
@@ -388,18 +388,27 @@ def classify_i1_orbits(
     """Group the divisor-1 isotropic vectors in the window by quotient genus.
 
     Same genus class of l^perp/Zl means same O(L)-orbit, so the cells are
-    orbit classes (complete only relative to the window).
+    orbit classes (complete only relative to the window).  For divisor-1 l
+    some m has (l, m) = 1, and m - ((m, m)/2) l is isotropic, so l and m
+    span a unimodular hyperbolic plane U and L = U + U^perp.  Then
+    l^perp = Zl + U^perp and l^perp/Zl is isometric to U^perp: every
+    quotient has signature (p-1, q-1) and |det| = |det L|.  Two quotients
+    are therefore in one genus exactly when their discriminant forms are
+    isomorphic, and only that test is made; the budget on |A| = |det L| is
+    checked once, before the first test.
     """
     vectors = [iv for iv in enumerate_isotropic(lattice, height_bound) if iv.divisor == 1]
     if not vectors:
         raise NoneFoundInWindow(
             f"no divisor-1 isotropic vector with |coords| <= {height_bound}"
         )
+    if len(vectors) > 1:
+        _check_budget(abs(lattice.det()), budget)
     classes = []
     for iv in vectors:
         quot = quotient_lattice(lattice, iv.vector)
         for idx, (rep, members, rep_quot) in enumerate(classes):
-            if is_isogenus(rep_quot, quot, budget=budget):
+            if fqf_isomorphism(discriminant_form(rep_quot), discriminant_form(quot)) is not None:
                 classes[idx] = (rep, members + [iv], rep_quot)
                 break
         else:

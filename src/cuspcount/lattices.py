@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import intmat
 from .errors import (
@@ -289,13 +290,18 @@ def rescale(lattice: EvenLattice, factor) -> EvenLattice:
 
 
 def signature(lattice: EvenLattice) -> tuple:
-    """(p, q) by exact symmetric elimination with rational pivots.
+    """(p, q) by exact symmetric elimination in integers.
 
-    A zero leading pivot is repaired by an integral basis change, never by
+    Each step clears column k below the pivot p by the row operation
+    R_i <- p R_i - f R_k and the matching column operation.  Together they
+    are the basis change e_i <- p e_i - f e_k, a congruence with p != 0, so
+    by Sylvester's law of inertia the signature is kept; the remaining
+    block is then divided by the positive gcd of its entries.  A zero
+    leading pivot is repaired by an integral basis change, never by
     perturbation.
     """
     n = lattice.rank
-    a = [[Fraction(x) for x in row] for row in lattice.gram]
+    a = [list(row) for row in lattice.gram]
     pos = neg = 0
     for k in range(n):
         if a[k][k] == 0:
@@ -317,12 +323,17 @@ def signature(lattice: EvenLattice) -> tuple:
         else:
             neg += 1
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / pivot
-                for t in range(k, n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(k, n):
-                    a[t][i] -= f * a[t][k]
+            f = a[i][k]
+            if f != 0:
+                a[i] = [pivot * x - f * y for x, y in zip(a[i], a[k])]
+                for row in a[k:]:
+                    row[i] = pivot * row[i] - f * row[k]
+        g = 0
+        for row in a[k + 1 :]:
+            g = gcd(g, *row[k + 1 :])
+        if g > 1:
+            for row in a[k + 1 :]:
+                row[k + 1 :] = [x // g for x in row[k + 1 :]]
     if pos + neg != n:
         raise AssertionError("inertia count lost a pivot")
     return (pos, neg)
