@@ -171,9 +171,9 @@ def _move_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgroup
     return transport_subgroup(sub, psi, target)
 
 
-def _genus_of(lattice: EvenLattice, given: Optional[list] = None) -> tuple:
+def _genus_of(lattice: EvenLattice, given: Optional[list] = None, budget=None) -> tuple:
     """(representatives, certified_complete, note); a given list is certified
-    by its caller."""
+    by its caller.  The rank-2 sweep runs under the budget."""
     if given is not None:
         return given, True, "caller-certified genus list"
     if lattice.rank <= 1 or nikulin_unique(lattice):
@@ -181,7 +181,7 @@ def _genus_of(lattice: EvenLattice, given: Optional[list] = None) -> tuple:
     if lattice.rank == 2:
         form = discriminant_form(lattice)
         bound = max(form.order(), form.exponent()) + 1
-        reps = genus_representatives_rank2(GenusQuery(signature(lattice), form, bound))
+        reps = genus_representatives_rank2(GenusQuery(signature(lattice), form, bound), budget)
         return reps, True, "complete rank-2 reduction sweep"
     return [lattice], False, "genus not enumerable at this rank; using the given class only"
 
@@ -256,10 +256,16 @@ def count_cusps_zero_dim(
     the number of divisor-d boundary points exactly when a hyperbolic plane
     embeds in the Picard lattice.
     """
+    section = section_vector(model.ns, height_bound)
+    return _count_cusps_zero_dim(model, d, budget, height_bound, section)
+
+
+def _count_cusps_zero_dim(model: K3Model, d: int, budget, height_bound: int, section) -> CountReport:
+    """count_cusps_zero_dim with the window's section vector (or None) given."""
     form = discriminant_form(model.ns)
     elements = isotropic_elements(form, d, budget=budget)
     value = _orbit_count(elements, model.hodge_image)
-    if section_vector(model.ns, height_bound) is not None:
+    if section is not None:
         note = "coarse class count; equals the divisor-%d cusp count (hyperbolic plane embeds)" % d
     else:
         note = (
@@ -277,7 +283,7 @@ def count_fm(
 ) -> CountReport:
     """Partner count: sum of double cosets hodge \\ O(A_M) / r_M(O(M)) over
     the genus of the Picard lattice."""
-    return _count_fm(model, gens, _genus_of(model.ns, genus_list), budget)
+    return _count_fm(model, gens, _genus_of(model.ns, genus_list, budget), budget)
 
 
 def _count_fm(model: K3Model, gens: Optional[dict], genus: tuple, budget) -> CountReport:
@@ -327,7 +333,7 @@ def derive_orbit_data(
     quotient_classes_known = None
     if classes:
         quot = classes[0].quotient
-        reps, certified, _ = _genus_of(quot)
+        reps, certified, _ = _genus_of(quot, budget=budget)
         if certified:
             quotient_classes_known = len(reps)
     div1_complete = quotient_classes_known is not None and len(classes) == quotient_classes_known
@@ -346,7 +352,7 @@ def count_fm_elliptic(
 ) -> CountReport:
     """Elliptic-pair count: double cosets hodge \\ O(A_M) / r_M(O(M)^k),
     summed over genus classes M and isotropic orbits [k] on M."""
-    genus_list, genus_complete, _ = _genus_of(model.ns, genus_list)
+    genus_list, genus_complete, _ = _genus_of(model.ns, genus_list, budget)
     if orbit_data is not None:
         for key in orbit_data:
             if all(key != member for member in genus_list):
@@ -387,7 +393,7 @@ def count_fm_elliptic_sec(
             f"NoSectionClass: no divisor-1 isotropic vector with |coords| <= {height_bound}",
         )
     quot = quotient_lattice(model.ns, section)
-    quotient_genus, genus_complete, _ = _genus_of(quot, quotient_genus)
+    quotient_genus, genus_complete, _ = _genus_of(quot, quotient_genus, budget)
     total, _, minima, _ = _genus_sum(
         model.hodge_image, quotient_genus, _om_image(gens), budget
     )
@@ -466,12 +472,12 @@ def route_crosscheck(
         )
     hyperbolic_completion(model.ns, section)  # must succeed: U really embeds
     fm = count_fm(model, budget=budget)
-    cusp1 = count_cusps_zero_dim(model, 1, budget=budget, height_bound=height_bound)
+    cusp1 = _count_cusps_zero_dim(model, 1, budget, height_bound, section)
     form = discriminant_form(model.ns)
     exponent = form.exponent()
     divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
     per_d = tuple(
-        (d, count_cusps_zero_dim(model, d, budget=budget, height_bound=height_bound).value)
+        (d, _count_cusps_zero_dim(model, d, budget, height_bound, section).value)
         for d in divisors
     )
     passed = fm.value == 1 and fm.exact and cusp1.value == 1
@@ -533,7 +539,7 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
     phi = euler_phi(r)
 
     form = discriminant_form(ur)
-    genus = _genus_of(ur)
+    genus = _genus_of(ur, budget=budget)
     reps = genus[0]
     genus_singleton = len(reps) == 1 and equivalent_rank2(reps[0], ur) is not None
 

@@ -17,6 +17,7 @@ from typing import Optional
 from . import intmat
 from .discriminant import (
     FiniteQuadraticForm,
+    _check_budget,
     discriminant_form,
     fqf_isomorphism,
 )
@@ -289,8 +290,9 @@ def genus_representatives_rank2(query: GenusQuery, budget: Optional[int] = None)
     """All rank-2 even classes with the given signature and discriminant form.
 
     Complete relative to classical reduction theory; raises BoundTooSmall if
-    the requested sweep bound cannot cover the reduced representatives.
-    `budget` is accepted for compatibility and not read.
+    the requested sweep bound cannot cover the reduced representatives, and
+    BudgetExceeded when |A| exceeds the budget, since the candidate list and
+    the isomorphism tests grow with |A|.
     """
     p, q = query.signature
     if p + q != 2:
@@ -304,6 +306,7 @@ def genus_representatives_rank2(query: GenusQuery, budget: Optional[int] = None)
         raise BoundTooSmall(
             f"search bound {query.search_bound} is below the reduction bound {required}"
         )
+    _check_budget(n, budget)
     if definite:
         candidates = _definite_candidates(n, negative=q == 2)
     else:

@@ -194,6 +194,11 @@ class TestExitCodes:
         code, _ = run_cli("aut", "U(11)", "--budget", "100")
         assert code == 3
 
+    def test_genus_budget_exceeded(self, capsys):
+        code, out = run_cli("genus", "--sign", "1,1", "--disc", "U(30)", "--bound", "901", "--budget", "1")
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == "cuspcount: budget exceeded: |A| = 900 exceeds the budget 1\n"
+
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("CUSPCOUNT_BUDGET", "100")
         code, _ = run_cli("aut", "U(11)")

@@ -469,3 +469,14 @@ class TestOneResolutionPerQuery:
         report = count_fm(K3Model.generic(ns))
         assert (report.value, report.exact) == (1, True)
         assert calls == [discriminant_form(ns)]
+
+    def test_one_window_scan_per_route_crosscheck(self, monkeypatch):
+        model = K3Model.generic(sums(U(1), diag(-12)))
+        per_d = tuple((d, count_cusps_zero_dim(model, d).value) for d in (1, 2, 3, 4, 6, 12))
+        calls = self._spy(monkeypatch, "section_vector")
+        check = route_crosscheck(model)
+        assert check.passed and check.cusp_counts == per_d
+        assert calls == [model.ns]
+
+    def test_genus_sweep_under_budget(self):
+        assert ur_example(210, budget=50000).passed

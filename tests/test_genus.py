@@ -4,7 +4,7 @@ import pytest
 from conftest import U, diag, sums
 
 from cuspcount.discriminant import discriminant_form, fqf_isomorphism
-from cuspcount.errors import BoundTooSmall, NotRank2
+from cuspcount.errors import BoundTooSmall, BudgetExceeded, NotRank2
 from cuspcount.genus import (
     GenusQuery,
     equivalent_rank2,
@@ -77,6 +77,14 @@ class TestGenusSweep:
         form = discriminant_form(U(3))
         with pytest.raises(NotRank2):
             genus_representatives_rank2(GenusQuery((1, 2), form, 10))
+
+    def test_budget(self):
+        form = discriminant_form(U(30))
+        with pytest.raises(BudgetExceeded, match=r"^\|A\| = 900 exceeds the budget 899$"):
+            genus_representatives_rank2(GenusQuery((1, 1), form, 901), budget=899)
+        with pytest.raises(BoundTooSmall):  # the bound is checked first
+            genus_representatives_rank2(GenusQuery((1, 1), form, 3), budget=1)
+        assert len(genus_representatives_rank2(GenusQuery((1, 1), form, 901), budget=900)) == 1
 
     @pytest.mark.parametrize("r", [3, 4, 6, 9, 12])
     def test_rescaling_consistency(self, r):
