@@ -119,7 +119,6 @@ def _solve(mat, rhs) -> Optional[list]:
     if len(rhs) != rows:
         raise ValueError("rhs length mismatch")
     a = [list(mat[i]) + [rhs[i]] for i in range(rows)]
-    pivots = []
     r = 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
@@ -134,18 +133,15 @@ def _solve(mat, rhs) -> Optional[list]:
                 row = [p * x - f * y for x, y in zip(a[i], top)]
                 g = gcd(*row)
                 a[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
         r += 1
         if r == rows:
             break
-    if len(pivots) < cols:
+    if r < cols:
         raise ValueError("matrix does not have full column rank")
     if any(a[i][cols] != 0 for i in range(r, rows)):
         return None
-    x = [(0, 1)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = (a[i][cols], a[i][c])
-    return x
+    # full column rank: column c was pivoted in row c
+    return [(a[c][cols], a[c][c]) for c in range(cols)]
 
 
 def solve_rational(mat, rhs) -> Optional[tuple]:
