@@ -307,9 +307,11 @@ def derive_orbit_data(
 
     Returns (orbit data list, complete?).  The hyperbolic-plane family is
     built in (single orbit, trivial pointwise stabilizer).  Otherwise only
-    divisor-1 orbits are derived, via the quotient-genus classification;
-    their stabilizer images are the images of O(l^perp/Zl).  Dropping the
-    unclassifiable divisor > 1 orbits keeps inexact counts lower bounds.
+    divisor-1 orbits are derived: the window's divisor-1 vectors form one
+    quotient-genus cell, which is one orbit when the genus of l^perp/Zl has
+    one class.  Its stabilizer image is the image of O(l^perp/Zl).
+    Dropping the unclassifiable divisor > 1 orbits keeps inexact counts
+    lower bounds.
     """
     r = is_hyperbolic_shape(lattice)
     form = discriminant_form(lattice)
@@ -319,28 +321,17 @@ def derive_orbit_data(
     if lattice.rank < 2 or not is_indefinite(lattice):
         return (), True  # nondegenerate definite lattices have no isotropic vectors
     try:
-        classes = classify_i1_orbits(lattice, height_bound, budget=budget)
+        (cell,) = classify_i1_orbits(lattice, height_bound, budget=budget)
     except NoneFoundInWindow:
-        classes = []
-    out = []
-    all_stab_complete = True
-    for cls in classes:
-        image = _r_image_of_om(cls.quotient, None, None, budget)
-        stab = None if image is None else _move_subgroup(image, form)
-        out.append(IsotropicOrbitDatum(cls.representative.vector, stab, image is not None))
-        all_stab_complete = all_stab_complete and image is not None
-    # the divisor-1 orbit list is complete iff every quotient-genus class showed up
-    quotient_classes_known = None
-    if classes:
-        quot = classes[0].quotient
-        reps, certified, _ = _genus_of(quot, budget=budget)
-        if certified:
-            quotient_classes_known = len(reps)
-    div1_complete = quotient_classes_known is not None and len(classes) == quotient_classes_known
+        return (), False
+    image = _r_image_of_om(cell.quotient, None, None, budget)
+    stab = None if image is None else _move_subgroup(image, form)
+    datum = IsotropicOrbitDatum(cell.representative.vector, stab, image is not None)
+    # the cell is the whole divisor-1 orbit list iff its quotient genus has one class
+    reps, certified, _ = _genus_of(cell.quotient, budget=budget)
     det = abs(lattice.det())
     squarefree = all(det % (p * p) != 0 for p in _prime_factors(det))
-    complete = div1_complete and squarefree and all_stab_complete
-    return tuple(out), complete
+    return (datum,), certified and len(reps) == 1 and squarefree and image is not None
 
 
 def count_fm_elliptic(

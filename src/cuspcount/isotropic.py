@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import intmat
-from .discriminant import _check_budget, discriminant_form, fqf_isomorphism
+from .discriminant import _check_budget
 from .errors import (
     DivisorNotOne,
     DoesNotFixL,
@@ -385,37 +385,26 @@ class IsotropicOrbitClass:
 def classify_i1_orbits(
     lattice: EvenLattice, height_bound: int, budget: Optional[int] = None
 ) -> list:
-    """Group the divisor-1 isotropic vectors in the window by quotient genus.
+    """The divisor-1 isotropic vectors in the window, as one quotient-genus cell.
 
-    Same genus class of l^perp/Zl means same O(L)-orbit, so the cells are
-    orbit classes (complete only relative to the window).  For divisor-1 l
-    some m has (l, m) = 1, and m - ((m, m)/2) l is isotropic, so l and m
-    span a unimodular hyperbolic plane U and L = U + U^perp.  Then
-    l^perp = Zl + U^perp and l^perp/Zl is isometric to U^perp: every
-    quotient has signature (p-1, q-1) and |det| = |det L|.  Two quotients
-    are therefore in one genus exactly when their discriminant forms are
-    isomorphic, and only that test is made; the budget on |A| = |det L| is
-    checked once, before the first test.
+    For divisor-1 l some m has (l, m) = 1, and m - ((m, m)/2) l is
+    isotropic, so l and m span a unimodular hyperbolic plane U and
+    L = U + U^perp.  Then l^perp = Zl + U^perp and l^perp/Zl is isometric
+    to U^perp, whose signature is (p-1, q-1) and whose discriminant form is
+    A_L.  All quotients therefore lie in one genus, and the single cell
+    holds every vector of the window in order, with the quotient of the
+    first as representative.  The cell is one O(L)-orbit when that genus
+    has one class; otherwise it may merge several orbits.  The budget on
+    |A| = |det L| is checked when the window holds more than one vector.
     """
-    vectors = [iv for iv in enumerate_isotropic(lattice, height_bound) if iv.divisor == 1]
+    vectors = tuple(iv for iv in enumerate_isotropic(lattice, height_bound) if iv.divisor == 1)
     if not vectors:
         raise NoneFoundInWindow(
             f"no divisor-1 isotropic vector with |coords| <= {height_bound}"
         )
     if len(vectors) > 1:
         _check_budget(abs(lattice.det()), budget)
-    classes = []
-    for iv in vectors:
-        quot = quotient_lattice(lattice, iv.vector)
-        for idx, (rep, members, rep_quot) in enumerate(classes):
-            if fqf_isomorphism(discriminant_form(rep_quot), discriminant_form(quot)) is not None:
-                classes[idx] = (rep, members + [iv], rep_quot)
-                break
-        else:
-            classes.append((iv, [iv], quot))
-    return [
-        IsotropicOrbitClass(rep, tuple(members), quot) for rep, members, quot in classes
-    ]
+    return [IsotropicOrbitClass(vectors[0], vectors, quotient_lattice(lattice, vectors[0].vector))]
 
 
 def is_standard_plane(lattice: EvenLattice, plane: IsotropicPlane):

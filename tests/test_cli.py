@@ -199,6 +199,11 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert capsys.readouterr().err == "cuspcount: budget exceeded: |A| = 900 exceeds the budget 1\n"
 
+    def test_classify_i1_budget_exceeded(self, capsys):
+        code, out = run_cli("classify-i1", "U+U(3)", "--bound", "2", "--budget", "3")
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == "cuspcount: budget exceeded: |A| = 9 exceeds the budget 3\n"
+
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("CUSPCOUNT_BUDGET", "100")
         code, _ = run_cli("aut", "U(11)")

@@ -5,8 +5,9 @@ The references below are the earlier implementations, kept here only as
 oracles: Fraction Gauss-Jordan for solve_rational, Fraction symmetric
 elimination for signature, the Smith-form kernel and the quotient built on
 those three.  Divisor-1 quotients are also checked against the U-splitting
-argument that lets classify_i1_orbits skip the signature and determinant
-tests, and the classification against grouping by is_isogenus.
+argument, which puts every divisor-1 quotient of a window in one genus, and
+the one cell of classify_i1_orbits against grouping by is_isogenus, on fixed
+and on random windows.
 """
 
 from fractions import Fraction
@@ -258,3 +259,23 @@ def test_classes_match_isogenus_grouping(corpus_lattices):
         assert got == want
         compared += 1
     assert compared >= len(ISO_WINDOW_TIERS)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(indefinite_grams(), st.integers(1, 2))
+def test_random_windows_form_one_isogenus_cell(gram, h):
+    lattice = make_lattice(gram)
+    want = reference_classes(lattice, h)
+    if not want:
+        with pytest.raises(NoneFoundInWindow):
+            classify_i1_orbits(lattice, h)
+    assume(want)  # 40 windows that hold a divisor-1 vector
+    assert len(want) == 1
+    (cell,) = classify_i1_orbits(lattice, h)
+    got = (cell.representative.vector, tuple(iv.vector for iv in cell.vectors), cell.quotient.gram)
+    assert [got] == want

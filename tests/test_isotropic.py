@@ -6,7 +6,7 @@ from conftest import U, det_oracle, diag, sums
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cuspcount import intmat
+from cuspcount import intmat, isotropic
 from cuspcount.cli import parse_lattice_spec
 from cuspcount.discriminant import _prime_factors, natural_map
 from cuspcount.errors import (
@@ -401,6 +401,23 @@ class TestClassifyOrbits:
     def test_none_in_window(self):
         with pytest.raises(NoneFoundInWindow):
             classify_i1_orbits(U(2), 3)
+
+    def test_one_quotient_per_window(self, monkeypatch):
+        """U+D(4) at bound 3 has 578 divisor-1 vectors; only the first is quotiented."""
+        lattice = parse_lattice_spec("U+D(4)")
+        calls = []
+
+        def spy(lat, l):
+            calls.append(tuple(l))
+            return quotient_lattice(lat, l)
+
+        monkeypatch.setattr(isotropic, "quotient_lattice", spy)
+        (cell,) = classify_i1_orbits(lattice, 3)
+        div1 = tuple(iv for iv in enumerate_isotropic(lattice, 3) if iv.divisor == 1)
+        assert len(div1) > 500
+        assert cell.vectors == div1
+        assert cell.representative == div1[0]
+        assert calls == [div1[0].vector]
 
 
 class TestStandardPlane:
