@@ -22,6 +22,7 @@ from cuspcount.lattices import (
     LatticeIsometry,
     direct_sum,
     make_lattice,
+    named_lattice,
     signature,
 )
 
@@ -318,6 +319,13 @@ class TestDerivedOrbitDataShapes:
         data, complete = derive_orbit_data(ns, budget=10_000)
         assert complete and len(data) == 1
         assert data[0].complete
+
+    def test_uncertified_stabilizer_is_lower_bound(self):
+        # det 3 is square-free and the quotient A(2) has a one-class genus,
+        # but no theorem certifies r(O(A(2)))
+        data, complete = derive_orbit_data(sums(U(1), named_lattice("A", (2,))), budget=10_000)
+        assert not complete
+        assert len(data) == 1 and not data[0].complete
 
     def test_non_square_free_rank3_is_lower_bound(self):
         ns = sums(U(1), diag(-8))
