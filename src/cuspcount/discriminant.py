@@ -33,6 +33,7 @@ from .lattices import EvenLattice, LatticeIsometry, signature
 
 DEFAULT_BUDGET = 10_000
 BUDGET_ENV_VAR = "CUSPCOUNT_BUDGET"
+MAX_SUBGROUP_ORDER = 1_000_000  # cap on the closure in fqf_subgroup
 
 
 def resolve_budget(budget: Optional[int] = None) -> int:
@@ -428,7 +429,7 @@ class FqfSubgroup:
         return self.form == other.form and self._members <= other._members
 
 
-def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry], max_order: int = 1_000_000) -> FqfSubgroup:
+def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry]) -> FqfSubgroup:
     """Close a generator list under composition (finite, so inverses come free).
 
     The closure multiplies reduced matrices; each product that is new to it
@@ -450,7 +451,7 @@ def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry], m
         for g in gen_mats:
             y = _matmul_mod(g, x_cols, orders)
             if y not in found:
-                if len(found) >= max_order:
+                if len(found) >= MAX_SUBGROUP_ORDER:
                     raise BudgetExceeded("subgroup closure exceeded the cap")
                 found[y] = FqfIsometry(form, y)
                 queue.append(y)
@@ -647,6 +648,8 @@ def natural_map(lattice: EvenLattice, isometry) -> FqfIsometry:
 
 def isotropic_elements(form: FiniteQuadraticForm, d: int, budget: Optional[int] = None) -> list:
     """All x with q(x) = 0 in Q/2Z and exact order d, in canonical order."""
+    if d < 1:
+        raise BadParams(f"the order d must be at least 1, got {d}")
     _check_budget(form.order(), budget)
     if form.exponent() % d != 0:
         return []
@@ -695,7 +698,7 @@ def isotropic_subgroups(form: FiniteQuadraticForm, order: int, budget: Optional[
     return sorted(tuple(sorted(h)) for h in hits)
 
 
-def overlattice(lattice: EvenLattice, subgroup, budget: Optional[int] = None) -> EvenLattice:
+def overlattice(lattice: EvenLattice, subgroup) -> EvenLattice:
     """Even overlattice of L defined by an isotropic subgroup of A_L."""
     data = _disc_data(lattice)
     form = data.form

@@ -22,7 +22,7 @@ from .discriminant import (
     fqf_isomorphism,
 )
 from .errors import BoundTooSmall, NotRank2
-from .lattices import EvenLattice, LatticeMap, is_indefinite, signature
+from .lattices import EvenLattice, LatticeMap, is_indefinite, restricted_gram, signature
 
 
 def nikulin_unique(lattice: EvenLattice) -> bool:
@@ -141,8 +141,7 @@ def _line_normal_form(lattice: EvenLattice, line):
         raise AssertionError("line normal form reduction failed")
     basis = intmat.from_columns([w, v])
     expect = ((2 * a_star, pairing), (pairing, 0))
-    got = intmat.matmul(intmat.matmul(intmat.transpose(basis), lattice.gram), basis)
-    if got != expect:
+    if restricted_gram(lattice, basis) != expect:
         raise AssertionError("line normal form Gram check failed")
     return a_star, pairing, basis
 

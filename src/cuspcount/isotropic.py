@@ -189,11 +189,12 @@ def _as_vector(lattice, l):
     return v
 
 
-def _find_dual_partner(lattice: EvenLattice, l, height_cap: int = 3):
-    """First m' in expanding lexicographic boxes with (l, m') = 1."""
+def _find_dual_partner(lattice: EvenLattice, l):
+    """First m' with (l, m') = 1 in expanding lexicographic boxes of height
+    at most 3, else one built by extended gcd."""
     w = intmat.matvec(lattice.gram, l)
     n = lattice.rank
-    for height in range(1, height_cap + 1):
+    for height in (1, 2, 3):
         for coords in itertools.product(range(-height, height + 1), repeat=n):
             if max(abs(x) for x in coords) != height:
                 continue
@@ -223,20 +224,14 @@ def hyperbolic_completion(lattice: EvenLattice, l) -> HyperbolicSplit:
     m = tuple(a - half_norm * b for a, b in zip(m_prime, v))
     if lattice.norm(m) != 0 or lattice.pair(v, m) != 1:
         raise AssertionError("hyperbolic partner correction failed")
-    rows = intmat.freeze([intmat.matvec(lattice.gram, v), intmat.matvec(lattice.gram, m)])
-    comp_cols = intmat.kernel_basis(rows)
-    complement = EvenLattice(restricted_gram(lattice, comp_cols))
-    split = HyperbolicSplit(lattice, m, v, complement, comp_cols)
-    if abs(intmat.det(split.basis_matrix())) != 1:
-        raise AssertionError("hyperbolic plane failed to split off")
-    return split
+    return split_from_pair(lattice, v, m)
 
 
 def split_from_pair(lattice: EvenLattice, l, m) -> HyperbolicSplit:
     """Hyperbolic split with a caller-chosen pair (l, m), (l, m) = 1."""
     v = _as_vector(lattice, l)
     m = tuple(int(x) for x in m)
-    if lattice.norm(m) != 0 or lattice.pair(v, m) != 1:
+    if len(m) != lattice.rank or lattice.norm(m) != 0 or lattice.pair(v, m) != 1:
         raise NotIsotropic("(l, m) is not a hyperbolic pair")
     rows = intmat.freeze([intmat.matvec(lattice.gram, v), intmat.matvec(lattice.gram, m)])
     comp_cols = intmat.kernel_basis(rows)
@@ -279,7 +274,7 @@ def transvection(split: HyperbolicSplit, v) -> LatticeIsometry:
     """The isometry fixing f that shears e by a complement vector v."""
     lattice = split.lattice
     v = tuple(int(x) for x in v)
-    if split.in_complement(v) is None:
+    if len(v) != lattice.rank or split.in_complement(v) is None:
         raise VectorNotInComplement(f"{list(v)} is not in the complement")
     l, m = split.f_image, split.e_image
     half_norm = lattice.norm(v) // 2

@@ -89,10 +89,7 @@ class LatticeMap:
         rows, cols = intmat.shape(self.matrix)
         if (rows, cols) != (self.target.rank, self.source.rank):
             raise NotIsometry("map matrix shape does not match the lattices")
-        pulled = intmat.matmul(
-            intmat.matmul(intmat.transpose(self.matrix), self.target.gram), self.matrix
-        )
-        if pulled != self.source.gram:
+        if restricted_gram(self.target, self.matrix) != self.source.gram:
             raise NotIsometry("matrix does not preserve the pairing")
 
     def apply(self, v) -> tuple:
@@ -110,10 +107,7 @@ class LatticeIsometry:
         n = self.lattice.rank
         if intmat.shape(self.matrix) != (n, n):
             raise NotIsometry("isometry matrix has wrong shape")
-        pulled = intmat.matmul(
-            intmat.matmul(intmat.transpose(self.matrix), self.lattice.gram), self.matrix
-        )
-        if pulled != self.lattice.gram:
+        if restricted_gram(self.lattice, self.matrix) != self.lattice.gram:
             raise NotIsometry("matrix does not preserve the Gram form")
         if intmat.det(self.matrix) not in (1, -1):
             raise NotIsometry("isometry matrix is not unimodular")
@@ -162,9 +156,7 @@ class Embedding:
         return intmat.shape(self.matrix)[1]
 
     def source_gram(self) -> Matrix:
-        return intmat.matmul(
-            intmat.matmul(intmat.transpose(self.matrix), self.target.gram), self.matrix
-        )
+        return restricted_gram(self.target, self.matrix)
 
     def is_primitive(self) -> bool:
         if self.sub_rank == 0:
@@ -172,17 +164,25 @@ class Embedding:
         return all(d == 1 for d in intmat.smith_diagonal(self.matrix))
 
 
+def _integer_matrix(data) -> Matrix:
+    """Nested sequences as a frozen matrix; NotSymmetric unless they are
+    equal-length rows of integers."""
+    try:
+        rows = [list(row) for row in data]
+        integral = all(int(x) == x for row in rows for x in row)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or any(len(row) != len(rows[0]) for row in rows):
+        raise NotSymmetric("expected a matrix: equal-length rows of integers")
+    return intmat.freeze(rows)
+
+
 def make_lattice(gram) -> EvenLattice:
     """Validate a Gram matrix and wrap it."""
-    rows = [list(r) for r in gram]
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise NotSymmetric("Gram matrix is not square")
-        for x in row:
-            if int(x) != x:
-                raise NotSymmetric("Gram entries must be integers")
-    return EvenLattice(intmat.freeze(rows))
+    rows = _integer_matrix(gram)
+    if intmat.shape(rows)[1] != len(rows):
+        raise NotSymmetric("Gram matrix is not square")
+    return EvenLattice(rows)
 
 
 def _cartan_a(n: int) -> list:

@@ -24,6 +24,7 @@ from cuspcount.discriminant import (
     trivial_subgroup,
 )
 from cuspcount.errors import (
+    BadParams,
     BudgetExceeded,
     LatticeError,
     NotIsometry,
@@ -268,6 +269,11 @@ class TestIsotropicElements:
     def test_budget(self):
         with pytest.raises(BudgetExceeded, match=r"^\|A\| = 100 exceeds the budget 50$"):
             isotropic_elements(discriminant_form(U(10)), 2, budget=50)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_order_below_one_rejected_before_budget(self, d):
+        with pytest.raises(BadParams):
+            isotropic_elements(discriminant_form(U(10)), d, budget=50)
 
 
 class TestIsotropicSubgroups:
