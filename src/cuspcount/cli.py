@@ -1,6 +1,9 @@
 """Command-line front end.
 
-One command per process, exact JSON (or plain table) on stdout, no state.
+Exact JSON (or a plain table) on stdout.  The parser is built once per
+process, on the first call of main; the handlers keep no state.  main loads
+the positional lattice, and wraps each handler's fields in the report
+envelope (schema_version, command and, for a lattice, its gram).
 Exit codes: 0 success, 2 validation error, 3 enumeration budget exceeded.
 The enumeration budget can also be set via the CUSPCOUNT_BUDGET variable.
 """
@@ -8,12 +11,12 @@ The enumeration budget can also be set via the CUSPCOUNT_BUDGET variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import intmat
 from .counting import (
     DEFAULT_HEIGHT_BOUND,
     K3Model,
@@ -29,6 +32,7 @@ from .discriminant import (
     discriminant_form,
     fqf_subgroup,
     is_isogenus,
+    natural_map,
 )
 from .errors import BudgetExceeded, LatticeError, ParseError
 from .genus import GenusQuery, genus_representatives_rank2
@@ -39,7 +43,7 @@ from .isotropic import (
     split_from_pair,
     transvection,
 )
-from .lattices import EvenLattice, direct_sum, make_lattice, named_lattice
+from .lattices import EvenLattice, _integer_matrix, direct_sum, make_lattice, named_lattice
 
 SCHEMA_VERSION = "1"
 
@@ -155,11 +159,11 @@ def _model_for(lattice: EvenLattice, hodge_path) -> K3Model:
         return K3Model.generic(lattice)
     with open(hodge_path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    mats = data.get("generators")
+    mats = data.get("generators") if isinstance(data, dict) else None
     if not isinstance(mats, list):
         raise LatticeError(f"{hodge_path}: expected a JSON object with 'generators'")
     form = discriminant_form(lattice)
-    gens = [FqfIsometry(form, intmat.freeze(mat)) for mat in mats]
+    gens = [FqfIsometry(form, _integer_matrix(mat)) for mat in mats]
     return K3Model(lattice, fqf_subgroup(form, gens))
 
 
@@ -186,45 +190,29 @@ def render(report: dict, mode: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _envelope(command: str, payload: dict) -> dict:
-    report = {"schema_version": SCHEMA_VERSION, "command": command}
-    report.update(payload)
-    return report
-
-
 # --- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_disc(args) -> dict:
-    lattice = lattice_from_arg(args.lattice, args.root_convention)
+def _cmd_disc(args, lattice) -> dict:
     form = discriminant_form(lattice)
-    return _envelope(
-        "disc",
-        {
-            "gram": _gram_list(lattice),
-            "invariant_factors": list(form.orders),
-            "group_order": form.order(),
-            "min_generators": form.ngens,
-            "q_values": [_frac(q) for q in form.q_diag],
-            "b_matrix": [[_frac(b) for b in row] for row in form.b_mat],
-        },
-    )
+    return {
+        "invariant_factors": list(form.orders),
+        "group_order": form.order(),
+        "min_generators": form.ngens,
+        "q_values": [_frac(q) for q in form.q_diag],
+        "b_matrix": [[_frac(b) for b in row] for row in form.b_mat],
+    }
 
 
-def _cmd_aut(args) -> dict:
-    lattice = lattice_from_arg(args.lattice, args.root_convention)
+def _cmd_aut(args, lattice) -> dict:
     form = discriminant_form(lattice)
     group = aut_group(form, budget=args.budget, method=args.method)
-    return _envelope(
-        "aut",
-        {
-            "gram": _gram_list(lattice),
-            "invariant_factors": list(form.orders),
-            "order": group.order(),
-            "method": args.method,
-            "elements": [[list(row) for row in iso.matrix] for iso in group.elements],
-        },
-    )
+    return {
+        "invariant_factors": list(form.orders),
+        "order": group.order(),
+        "method": args.method,
+        "elements": [[list(row) for row in iso.matrix] for iso in group.elements],
+    }
 
 
 def _cmd_isogenus(args) -> dict:
@@ -234,37 +222,28 @@ def _cmd_isogenus(args) -> dict:
     witness = None
     if result.witness is not None:
         witness = [list(row) for row in result.witness]
-    return _envelope(
-        "isogenus",
-        {
-            "left": _gram_list(left),
-            "right": _gram_list(right),
-            "isogenus": result.isogenus,
-            "witness": witness,
-        },
-    )
+    return {
+        "left": _gram_list(left),
+        "right": _gram_list(right),
+        "isogenus": result.isogenus,
+        "witness": witness,
+    }
 
 
-def _cmd_isotropic(args) -> dict:
-    lattice = lattice_from_arg(args.lattice, args.root_convention)
+def _cmd_isotropic(args, lattice) -> dict:
     vectors = enumerate_isotropic(lattice, args.bound)
     if args.div is not None:
         vectors = [iv for iv in vectors if iv.divisor == args.div]
-    return _envelope(
-        "isotropic",
-        {
-            "gram": _gram_list(lattice),
-            "window": args.bound,
-            "window_note": f"complete within |coords| <= {args.bound}",
-            "vectors": [
-                {"vector": list(iv.vector), "divisor": iv.divisor} for iv in vectors
-            ],
-        },
-    )
+    return {
+        "window": args.bound,
+        "window_note": f"complete within |coords| <= {args.bound}",
+        "vectors": [
+            {"vector": list(iv.vector), "divisor": iv.divisor} for iv in vectors
+        ],
+    }
 
 
-def _cmd_transvect(args) -> dict:
-    lattice = lattice_from_arg(args.lattice, args.root_convention)
+def _cmd_transvect(args, lattice) -> dict:
     lvec = _parse_vector(args.l)
     if args.m:
         split = split_from_pair(lattice, lvec, _parse_vector(args.m))
@@ -272,42 +251,31 @@ def _cmd_transvect(args) -> dict:
         split = hyperbolic_completion(lattice, lvec)
     vvec = _parse_vector(args.v)
     iso = transvection(split, vvec)
-    from .discriminant import natural_map
-
     induced = natural_map(lattice, iso)
-    return _envelope(
-        "transvect",
-        {
-            "gram": _gram_list(lattice),
-            "l": list(split.f_image),
-            "m": list(split.e_image),
-            "v": list(vvec),
-            "matrix": [list(row) for row in iso.matrix],
-            "fixes_l": iso.apply(split.f_image) == split.f_image,
-            "trivial_on_discriminant": induced.is_identity(),
-        },
-    )
+    return {
+        "l": list(split.f_image),
+        "m": list(split.e_image),
+        "v": list(vvec),
+        "matrix": [list(row) for row in iso.matrix],
+        "fixes_l": iso.apply(split.f_image) == split.f_image,
+        "trivial_on_discriminant": induced.is_identity(),
+    }
 
 
-def _cmd_classify_i1(args) -> dict:
-    lattice = lattice_from_arg(args.lattice, args.root_convention)
+def _cmd_classify_i1(args, lattice) -> dict:
     classes = classify_i1_orbits(lattice, args.bound, budget=args.budget)
-    return _envelope(
-        "classify-i1",
-        {
-            "gram": _gram_list(lattice),
-            "window": args.bound,
-            "window_note": f"complete within |coords| <= {args.bound}",
-            "classes": [
-                {
-                    "representative": list(cls.representative.vector),
-                    "vectors": [list(iv.vector) for iv in cls.vectors],
-                    "quotient_gram": _gram_list(cls.quotient),
-                }
-                for cls in classes
-            ],
-        },
-    )
+    return {
+        "window": args.bound,
+        "window_note": f"complete within |coords| <= {args.bound}",
+        "classes": [
+            {
+                "representative": list(cls.representative.vector),
+                "vectors": [list(iv.vector) for iv in cls.vectors],
+                "quotient_gram": _gram_list(cls.quotient),
+            }
+            for cls in classes
+        ],
+    }
 
 
 def _cmd_genus(args) -> dict:
@@ -321,20 +289,16 @@ def _cmd_genus(args) -> dict:
     reps = genus_representatives_rank2(
         GenusQuery(sig, target, args.bound), budget=args.budget
     )
-    return _envelope(
-        "genus",
-        {
-            "signature": list(sig),
-            "target_disc_gram": _gram_list(disc_lattice),
-            "search_bound": args.bound,
-            "count": len(reps),
-            "representatives": [_gram_list(rep) for rep in reps],
-        },
-    )
+    return {
+        "signature": list(sig),
+        "target_disc_gram": _gram_list(disc_lattice),
+        "search_bound": args.bound,
+        "count": len(reps),
+        "representatives": [_gram_list(rep) for rep in reps],
+    }
 
 
-def _cmd_fm(args) -> dict:
-    lattice = lattice_from_arg(args.lattice, args.root_convention)
+def _cmd_fm(args, lattice) -> dict:
     model = _model_for(lattice, args.hodge)
     if args.mode == "count":
         report = count_fm(model, budget=args.budget)
@@ -355,22 +319,19 @@ def _cmd_fm(args) -> dict:
             )
     else:
         raise LatticeError(f"unknown fm mode {args.mode!r}")
-    payload = {"gram": _gram_list(lattice), "mode": args.mode}
+    payload = {"mode": args.mode}
     payload.update(report.to_dict())
     if args.mode == "twisted":
         payload["d"] = args.d
-    return _envelope("fm", payload)
+    return payload
 
 
-def _cmd_cusps(args) -> dict:
-    lattice = lattice_from_arg(args.lattice, args.root_convention)
+def _cmd_cusps(args, lattice) -> dict:
     model = _model_for(lattice, args.hodge)
     report = count_cusps_zero_dim(
         model, args.div, budget=args.budget, height_bound=args.bound
     )
-    payload = {"gram": _gram_list(lattice), "div": args.div}
-    payload.update(report.to_dict())
-    return _envelope("cusps", payload)
+    return {"div": args.div, **report.to_dict()}
 
 
 def _cmd_verify_ur(args) -> dict:
@@ -380,21 +341,20 @@ def _cmd_verify_ur(args) -> dict:
         if r <= 2:
             continue
         results.append(ur_example(r, budget=args.budget).to_dict())
-    return _envelope(
-        "verify-ur",
-        {
-            "r_from": args.r,
-            "r_to": top,
-            "results": results,
-            "all_passed": all(item["passed"] for item in results),
-        },
-    )
+    return {
+        "r_from": args.r,
+        "r_to": top,
+        "results": results,
+        "all_passed": all(item["passed"] for item in results),
+    }
 
 
 # --- argument parsing ------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The cuspcount parser, built on the first call and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="cuspcount",
         description="Exact even-lattice calculator: discriminant forms, "
@@ -475,17 +435,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
-        report = args.handler(args)
+        if hasattr(args, "lattice"):
+            lattice = lattice_from_arg(args.lattice, args.root_convention)
+            report["gram"] = _gram_list(lattice)
+            report.update(args.handler(args, lattice))
+        else:
+            report.update(args.handler(args))
     except BudgetExceeded as exc:
         print(f"cuspcount: budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except LatticeError as exc:
-        print(f"cuspcount: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (LatticeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"cuspcount: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(render(report, args.output))

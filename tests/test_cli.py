@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -6,7 +7,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from cuspcount.cli import lattice_from_arg, main, parse_lattice_spec
+from cuspcount.cli import build_parser, lattice_from_arg, main, parse_lattice_spec
 from cuspcount.errors import BadParams, ParseError
 from cuspcount.lattices import direct_sum, named_lattice
 
@@ -219,6 +220,105 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "cuspcount: CUSPCOUNT_BUDGET must be an integer, got 'abc'\n"
         )
+
+    @staticmethod
+    def _assert_validation_error(capsys, *argv):
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("cuspcount: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cusps", "U(2)", "--div", "0"),
+            ("cusps", "U(2)", "--div", "-2"),
+            ("fm", "twisted", "U(2)", "--d", "0"),
+        ],
+    )
+    def test_divisor_below_one(self, capsys, argv):
+        self._assert_validation_error(capsys, *argv)
+
+    @pytest.mark.parametrize("gram", [5, [5], [["a"]], [[0, 1], [1]], None])
+    def test_malformed_lattice_file(self, tmp_path, capsys, gram):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"gram": gram}))
+        self._assert_validation_error(capsys, "disc", str(path))
+
+    @pytest.mark.parametrize("generators", [[5], [[["a"]]], [[[1, 0], [0]]]])
+    def test_malformed_hodge_file(self, tmp_path, capsys, generators):
+        path = tmp_path / "hodge.json"
+        path.write_text(json.dumps({"generators": generators}))
+        self._assert_validation_error(capsys, "cusps", "U(3)", "--div", "1", "--hodge", str(path))
+
+    def test_directory_as_lattice_file(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.mkdir()
+        self._assert_validation_error(capsys, "disc", str(path))
+
+    def test_undecodable_lattice_file(self, tmp_path, capsys):
+        path = tmp_path / "gram.json"
+        path.write_bytes(b"\xff\xfe")
+        self._assert_validation_error(capsys, "disc", str(path))
+
+    def test_missing_lattice_file_message(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        code, _ = run_cli("disc", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"cuspcount: [Errno 2] No such file or directory: {str(path)!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            ("--m", "1,0,0", "--v", "0,0,1,1"),
+            ("--m", "1,0,0,0", "--v", "0,0,1,1,5"),
+            ("--v", "0,0,1"),
+        ],
+    )
+    def test_transvect_vector_length(self, capsys, vectors):
+        self._assert_validation_error(capsys, "transvect", "U+U", "--l", "0,1,0,0", *vectors)
+
+
+class TestFrontDoor:
+    SUBCOMMANDS = (
+        "disc", "aut", "isogenus", "isotropic", "transvect",
+        "classify-i1", "genus", "fm", "cusps", "verify-ur",
+    )
+
+    def test_parser_built_once(self, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli("disc", "U(4)")[0] == 0
+        first = len(built)
+        assert run_cli("cusps", "U(2)", "--div", "2")[0] == 0
+        assert run_cli("verify-ur", "--r", "3")[0] == 0
+        assert first > 0 and len(built) == first
+
+    @pytest.mark.parametrize("argv", [()] + [(cmd,) for cmd in SUBCOMMANDS])
+    def test_help_exits_0_with_usage_on_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--help"])
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: " + " ".join(("cuspcount",) + argv))
+        assert captured.err == ""
+
+    def test_envelope_from_main(self):
+        for argv in (("disc", "U(4)"), ("isogenus", "U", "U(2)")):
+            report = json.loads(run_cli(*argv)[1])
+            assert report["schema_version"] == "1"
+            assert report["command"] == argv[0]
+        assert json.loads(run_cli("disc", "U(4)")[1])["gram"] == [[0, 4], [4, 0]]
+        assert "gram" not in json.loads(run_cli("isogenus", "U", "U(2)")[1])
 
 
 class TestReportContracts:
