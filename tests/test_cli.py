@@ -312,14 +312,6 @@ class TestFrontDoor:
         assert captured.out.startswith("usage: " + " ".join(("cuspcount",) + argv))
         assert captured.err == ""
 
-    def test_envelope_from_main(self):
-        for argv in (("disc", "U(4)"), ("isogenus", "U", "U(2)")):
-            report = json.loads(run_cli(*argv)[1])
-            assert report["schema_version"] == "1"
-            assert report["command"] == argv[0]
-        assert json.loads(run_cli("disc", "U(4)")[1])["gram"] == [[0, 4], [4, 0]]
-        assert "gram" not in json.loads(run_cli("isogenus", "U", "U(2)")[1])
-
 
 class TestReportContracts:
     def test_schema_validation(self):
