@@ -34,7 +34,7 @@ from .discriminant import (
     is_isogenus,
     natural_map,
 )
-from .errors import BudgetExceeded, LatticeError, ParseError
+from .errors import BadParams, BudgetExceeded, LatticeError, ParseError
 from .genus import GenusQuery, genus_representatives_rank2
 from .isotropic import (
     classify_i1_orbits,
@@ -336,6 +336,8 @@ def _cmd_cusps(args, lattice) -> dict:
 
 def _cmd_verify_ur(args) -> dict:
     top = args.max_r if args.max_r is not None else args.r
+    if top < max(args.r, 3):
+        raise BadParams(f"verify-ur needs some r > 2 in [{args.r}, {top}]")
     results = []
     for r in range(args.r, top + 1):
         if r <= 2:

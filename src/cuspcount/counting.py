@@ -47,6 +47,7 @@ from .errors import (
 )
 from .genus import GenusQuery, equivalent_rank2, genus_representatives_rank2, nikulin_unique
 from .isotropic import (
+    _check_height_bound,
     classify_i1_orbits,
     hyperbolic_completion,
     quotient_lattice,
@@ -222,8 +223,18 @@ def _om_image(gens: Optional[dict]):
     return lambda m, ambient: ((_r_image_of_om(m, gens.get(m) if gens else None, ambient),), True)
 
 
-def _genus_sum(hodge: FqfSubgroup, members, right_factors, budget) -> tuple:
-    """Sum of double cosets hodge \\ O(A_M) / R over the genus members M.
+def _with_ambients(members, budget) -> list:
+    """(M, A_M, O(A_M)) per genus member M: what every genus sum reads."""
+    out = []
+    for member in members:
+        form = discriminant_form(member)
+        out.append((member, form, aut_group(form, budget=budget)))
+    return out
+
+
+def _genus_sum(hodge: FqfSubgroup, members, right_factors) -> tuple:
+    """Sum of double cosets hodge \\ O(A_M) / R over the genus members M,
+    given as (M, A_M, O(A_M)) by _with_ambients.
 
     right_factors(M, O(A_M)) gives (factors, complete?): subgroups R on
     forms isomorphic to A_M, or None for an unknown image, which scores its
@@ -231,9 +242,7 @@ def _genus_sum(hodge: FqfSubgroup, members, right_factors, budget) -> tuple:
     """
     total = terms = minima = 0
     complete = True
-    for member in members:
-        form = discriminant_form(member)
-        ambient = aut_group(form, budget=budget)
+    for member, form, ambient in members:
         moved = _move_subgroup(hodge, form)
         factors, factors_complete = right_factors(member, ambient)
         complete = complete and factors_complete
@@ -283,14 +292,13 @@ def count_fm(
 ) -> CountReport:
     """Partner count: sum of double cosets hodge \\ O(A_M) / r_M(O(M)) over
     the genus of the Picard lattice."""
-    return _count_fm(model, gens, _genus_of(model.ns, genus_list, budget), budget)
+    genus = _genus_of(model.ns, genus_list, budget)
+    return _count_fm(model, gens, genus, _with_ambients(genus[0], budget))
 
 
-def _count_fm(model: K3Model, gens: Optional[dict], genus: tuple, budget) -> CountReport:
+def _count_fm(model: K3Model, gens: Optional[dict], genus: tuple, members: list) -> CountReport:
     genus_list, genus_complete, genus_note = genus
-    total, _, minima, _ = _genus_sum(
-        model.hodge_image, genus_list, _om_image(gens), budget
-    )
+    total, _, minima, _ = _genus_sum(model.hodge_image, members, _om_image(gens))
     exact = genus_complete and not minima
     note = f"{len(genus_list)} genus class(es); {genus_note}"
     if minima:
@@ -343,11 +351,20 @@ def count_fm_elliptic(
 ) -> CountReport:
     """Elliptic-pair count: double cosets hodge \\ O(A_M) / r_M(O(M)^k),
     summed over genus classes M and isotropic orbits [k] on M."""
-    genus_list, genus_complete, _ = _genus_of(model.ns, genus_list, budget)
+    _check_height_bound(height_bound)
+    genus = _genus_of(model.ns, genus_list, budget)
     if orbit_data is not None:
         for key in orbit_data:
-            if all(key != member for member in genus_list):
+            if all(key != member for member in genus[0]):
                 raise IncompleteInputs("orbit data supplied for a lattice outside the genus list")
+    members = _with_ambients(genus[0], budget)
+    return _count_fm_elliptic(model, genus, members, orbit_data, budget, height_bound)
+
+
+def _count_fm_elliptic(
+    model: K3Model, genus: tuple, members: list, orbit_data, budget, height_bound: int
+) -> CountReport:
+    _, genus_complete, _ = genus
 
     def stabilizers(member: EvenLattice, _ambient) -> tuple:
         if orbit_data is not None and member in orbit_data:
@@ -356,9 +373,7 @@ def count_fm_elliptic(
             data, complete = derive_orbit_data(member, budget, height_bound)
         return tuple(d.stabilizer_image if d.complete else None for d in data), complete
 
-    total, terms, minima, complete = _genus_sum(
-        model.hodge_image, genus_list, stabilizers, budget
-    )
+    total, terms, minima, complete = _genus_sum(model.hodge_image, members, stabilizers)
     exact = genus_complete and complete and not minima
     note = f"{terms} (class, orbit) term(s) within |coords| <= {height_bound}"
     if not exact:
@@ -386,7 +401,7 @@ def count_fm_elliptic_sec(
     quot = quotient_lattice(model.ns, section)
     quotient_genus, genus_complete, _ = _genus_of(quot, quotient_genus, budget)
     total, _, minima, _ = _genus_sum(
-        model.hodge_image, quotient_genus, _om_image(gens), budget
+        model.hodge_image, _with_ambients(quotient_genus, budget), _om_image(gens)
     )
     exact = genus_complete and not minima
     note = f"section at {list(section)}; {len(quotient_genus)} quotient genus class(es)"
@@ -533,8 +548,9 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
     genus = _genus_of(ur, budget=budget)
     reps = genus[0]
     genus_singleton = len(reps) == 1 and equivalent_rank2(reps[0], ur) is not None
+    members = _with_ambients(reps, budget)  # one O(A_M) per member for both sums
 
-    fm = _count_fm(model, None, genus, budget)
+    fm = _count_fm(model, None, genus, members)
     fm_expected = (2**tau * phi) // 4
     if (2**tau * phi) % 4 != 0:
         raise AssertionError("2^(tau-2) phi(r) must be an integer for r > 2")
@@ -549,7 +565,7 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
         for iso in model.hodge_image.elements
     )
 
-    fm_ell = count_fm_elliptic(model, genus_list=reps, budget=budget)  # the sweep is complete
+    fm_ell = _count_fm_elliptic(model, genus, members, None, budget, DEFAULT_HEIGHT_BOUND)
     fm_ell_expected = (2**tau * phi) // 2
 
     mu1 = mu1_fiber_ur(r)

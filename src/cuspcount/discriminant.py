@@ -37,15 +37,20 @@ MAX_SUBGROUP_ORDER = 1_000_000  # cap on the closure in fqf_subgroup
 
 
 def resolve_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if not env:
-        return DEFAULT_BUDGET
+    """The given budget, else CUSPCOUNT_BUDGET, else DEFAULT_BUDGET; one
+    below 1 is a bad argument, not an overrun."""
+    name, value = "the budget", budget
+    if budget is None:
+        name, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR)
+        if not value:
+            return DEFAULT_BUDGET
     try:
-        return int(env)
+        limit = int(value)
     except ValueError:
-        raise BadParams(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+        raise BadParams(f"{name} must be an integer, got {value!r}") from None
+    if limit < 1:
+        raise BadParams(f"{name} must be at least 1, got {limit}")
+    return limit
 
 
 def _check_budget(order: int, budget: Optional[int]) -> None:
@@ -568,40 +573,46 @@ def _aut_direct(form: FiniteQuadraticForm) -> list:
     return out
 
 
-def _aut_primary(form: FiniteQuadraticForm) -> list:
-    if form.is_trivial():
-        return [FqfIsometry.identity(form)]
-    k = form.ngens
-    exponent = form.exponent()
-    primes = _prime_factors(exponent)
+def _primary_images(source: FiniteQuadraticForm, target: FiniteQuadraticForm, limit=None) -> list:
+    """Images of the generators under isometries source -> target (equal
+    orders), from up to `limit` solutions per p-primary block (None: all).
+
+    A is the orthogonal sum of its p-parts A_p, spanned by the h_i =
+    (d_i / p^v) g_i with p^v || d_i.  Each block searches a pool of the |A_p|
+    target elements; the CRT idempotents of the exponent stitch one solution
+    per block into images of the g_i.  For one prime the h_i are the g_i.
+    """
+    k = source.ngens
+    exponent = source.exponent()
     blocks = []
-    for p in primes:
-        idxs = [i for i in range(k) if form.orders[i] % p == 0]
-        pe = [p ** _p_valuation(form.orders[i], p) for i in idxs]
-        hgens = []
-        for i, q in zip(idxs, pe):
-            coords = [0] * k
-            coords[i] = form.orders[i] // q
-            hgens.append(tuple(coords))
-        pool = sorted(_span_elements(form, hgens))
-        gen_b = [[form._bn(g, h) for h in hgens] for g in hgens]
-        gen_q = [form._qn(h) for h in hgens]
-        sigmas = list(_image_assignments(form, pool, pe, gen_q, gen_b))
-        blocks.append((p, idxs, pe, sigmas))
-    # CRT idempotents stitch the per-prime automorphisms back together
-    idem = {}
-    for p in primes:
+    for p in _prime_factors(exponent):
         pe_n = p ** _p_valuation(exponent, p)
         m = exponent // pe_n
-        idem[p] = m * pow(m, -1, pe_n) if pe_n > 1 else 0
+        idem = m * pow(m, -1, pe_n)
+        idxs = [i for i in range(k) if source.orders[i] % p == 0]
+        pe = [p ** _p_valuation(source.orders[i], p) for i in idxs]
+        hgens = []
+        weights = []
+        for i, q in zip(idxs, pe):
+            coords = [0] * k
+            coords[i] = source.orders[i] // q
+            hgens.append(tuple(coords))
+            weights.append((idem % source.orders[i]) // (source.orders[i] // q))
+        pool = sorted(_span_elements(target, hgens))
+        gen_b = [[source._bn(g, h) for h in hgens] for g in hgens]
+        gen_q = [source._qn(h) for h in hgens]
+        found = _image_assignments(target, pool, pe, gen_q, gen_b)
+        sigmas = list(itertools.islice(found, limit))
+        if not sigmas:
+            return []
+        blocks.append((idxs, weights, sigmas))
     out = []
-    for combo in itertools.product(*(sigmas for (_, _, _, sigmas) in blocks)):
-        cols = [form.zero() for _ in range(k)]
-        for (p, idxs, pe, _), sigma in zip(blocks, combo):
-            for pos, (i, q) in enumerate(zip(idxs, pe)):
-                c = (idem[p] % form.orders[i]) // (form.orders[i] // q)
-                cols[i] = form.add(cols[i], form.scale(c, sigma[pos]))
-        out.append(FqfIsometry.from_images(form, cols))
+    for combo in itertools.product(*(sigmas for (_, _, sigmas) in blocks)):
+        cols = [target.zero() for _ in range(k)]
+        for (idxs, weights, _), sigma in zip(blocks, combo):
+            for i, c, image in zip(idxs, weights, sigma):
+                cols[i] = target.add(cols[i], target.scale(c, image))
+        out.append(tuple(cols))
     return out
 
 
@@ -616,7 +627,7 @@ def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: s
     if method == "direct":
         isos = _aut_direct(form)
     elif method == "primary":
-        isos = _aut_primary(form)
+        isos = [FqfIsometry.from_images(form, cols) for cols in _primary_images(form, form)]
     else:
         raise ValueError(f"unknown method {method!r}")
     elements = tuple(sorted(set(isos), key=lambda iso: iso.matrix))
@@ -739,17 +750,21 @@ def fqf_isomorphism(source: FiniteQuadraticForm, target: FiniteQuadraticForm) ->
     """Matrix of an isomorphism (A_src, q) -> (A_tgt, q), or None.
 
     Column j holds the target coordinates of the image of source generator j.
+    The search runs per p-primary block (_primary_images), so for a group
+    of one prime it is the whole-group search and its first witness.
     """
     if source.orders != target.orders:
         return None
-    if source.is_trivial():
-        return ()
-    pool = sorted(target.elements())
-    # equal orders give equal exponents, so the source numerators apply
-    for images in _image_assignments(target, pool, source.orders, source._q, source._b):
-        k = len(images)
-        return tuple(tuple(images[j][i] for j in range(k)) for i in range(k))
-    return None
+    found = _primary_images(source, target, limit=1)
+    if not found:
+        return None
+    (cols,) = found
+    # the p-parts are orthogonal, so the stitched images keep q and b
+    b_images = tuple(tuple(target._bn(x, y) for y in cols) for x in cols)
+    if tuple(map(target._qn, cols)) != source._q or b_images != source._b:
+        raise AssertionError("the stitched images do not preserve q and b")
+    k = len(cols)
+    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,14 @@ def _lattice_of(a: int, b: int, c: int) -> EvenLattice:
     return EvenLattice(((2 * a, b), (b, 2 * c)))
 
 
+def _invariant_factors(lattice: EvenLattice) -> tuple:
+    """Invariant factors > 1 of a rank-2 Gram matrix: g = gcd of the
+    entries, then |det| / g.  They are the orders of its discriminant form."""
+    (x, y), (_, z) = lattice.gram
+    g = gcd(x, y, z)
+    return tuple(d for d in (g, abs(x * z - y * y) // g) if d > 1)
+
+
 def _apply(triple, t):
     # form coefficients after the basis change with columns of t
     a, b, c = triple
@@ -312,9 +320,13 @@ def genus_representatives_rank2(query: GenusQuery, budget: Optional[int] = None)
         candidates = _indefinite_candidates(n)
     reps = []
     for cand in candidates:
+        # fqf_isomorphism's first test, made before the form is built
+        if _invariant_factors(cand) != target.orders:
+            continue
         if signature(cand) != query.signature:
             continue
-        if fqf_isomorphism(discriminant_form(cand), target) is None:
+        form = discriminant_form(cand)
+        if form != target and fqf_isomorphism(form, target) is None:
             continue
         if any(equivalent_rank2(seen, cand) is not None for seen in reps):
             continue

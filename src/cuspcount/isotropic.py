@@ -119,6 +119,11 @@ def _tagged(lattice: EvenLattice, v: tuple) -> IsotropicVector:
     return IsotropicVector(v, divisor(lattice, v))
 
 
+def _check_height_bound(height_bound: int) -> None:
+    if height_bound < 1:
+        raise ZeroVector("height bound must be positive")
+
+
 def _scan_isotropic(lattice: EvenLattice, height_bound: int):
     """Lazy enumerate_isotropic: the same vectors, tagged, in the same order.
 
@@ -132,8 +137,7 @@ def _scan_isotropic(lattice: EvenLattice, height_bound: int):
     a prefix ascending, so the vectors do too.  Q is quadratic and beta
     affine in z, with coefficients computed once per y.
     """
-    if height_bound < 1:
-        raise ZeroVector("height bound must be positive")
+    _check_height_bound(height_bound)
     n = lattice.rank
     if n == 0 or not is_indefinite(lattice):
         return

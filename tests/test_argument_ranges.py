@@ -1,0 +1,82 @@
+"""Arguments below their range exit 2 as bad arguments.
+
+A budget below 1, a height bound below 1 on the built-in U(r) route and a
+verify-ur range without any r > 2 are validation errors, not a budget
+overrun, a certified answer or a pass over nothing.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from conftest import U
+from cuspcount.cli import main
+from cuspcount.counting import K3Model, count_fm_elliptic
+from cuspcount.discriminant import resolve_budget
+from cuspcount.errors import BadParams, ZeroVector
+
+
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def _no_budget_env(monkeypatch):
+    monkeypatch.delenv("CUSPCOUNT_BUDGET", raising=False)
+
+
+class TestBudgetBelowOne:
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_cli_exits_2(self, budget):
+        assert run_cli("aut", "U(2)", "--budget", budget) == (
+            2, "", f"cuspcount: the budget must be at least 1, got {budget}\n"
+        )
+
+    def test_env_exits_2(self, monkeypatch):
+        monkeypatch.setenv("CUSPCOUNT_BUDGET", "-5")
+        assert run_cli("aut", "U(2)") == (
+            2, "", "cuspcount: CUSPCOUNT_BUDGET must be at least 1, got -5\n"
+        )
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_resolve_budget_raises(self, budget):
+        with pytest.raises(BadParams):
+            resolve_budget(budget)
+
+    def test_budget_of_one_is_a_budget(self):
+        assert resolve_budget(1) == 1
+        code, out, err = run_cli("aut", "U(2)", "--budget", "1")
+        assert (code, out) == (3, "")
+        assert err == "cuspcount: budget exceeded: |A| = 4 exceeds the budget 1\n"
+
+
+class TestHeightBoundBelowOne:
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_ur_route_exits_2(self, bound):
+        expected = run_cli("cusps", "U(2)", "--div", "2", "--bound", "0")
+        assert expected == (2, "", "cuspcount: height bound must be positive\n")
+        assert run_cli("fm", "elliptic", "U(6)", "--bound", bound) == expected
+
+    def test_library_raises(self):
+        with pytest.raises(ZeroVector):
+            count_fm_elliptic(K3Model.generic(U(6)), height_bound=0)
+
+
+class TestVerifyUrChecksSomething:
+    @pytest.mark.parametrize(
+        "argv", [("--r", "0", "--max-r", "2"), ("--r", "2"), ("--r", "5", "--max-r", "4")]
+    )
+    def test_no_r_above_2_exits_2(self, argv):
+        code, out, err = run_cli("verify-ur", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("cuspcount: verify-ur needs some r > 2")
+
+    def test_range_reaching_3_runs(self):
+        code, out, err = run_cli("verify-ur", "--r", "0", "--max-r", "3")
+        assert (code, err) == (0, "")
+        assert '"r": 3' in out and '"all_passed": true' in out
