@@ -574,8 +574,9 @@ def _aut_direct(form: FiniteQuadraticForm) -> list:
 
 
 def _primary_images(source: FiniteQuadraticForm, target: FiniteQuadraticForm, limit=None) -> list:
-    """Images of the generators under isometries source -> target (equal
-    orders), from up to `limit` solutions per p-primary block (None: all).
+    """Images of the generators under isometries source -> target, from up
+    to `limit` solutions per p-primary block (None: all).  The forms have
+    equal orders, hence one exponent, so the source numerators apply.
 
     A is the orthogonal sum of its p-parts A_p, spanned by the h_i =
     (d_i / p^v) g_i with p^v || d_i.  Each block searches a pool of the |A_p|
