@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exact JSON (or a plain table) on stdout.  The parser is built once per
-process, on the first call of main; the handlers keep no state.  main loads
-the positional lattice, and wraps each handler's fields in the report
-envelope (schema_version, command and, for a lattice, its gram).
+process, on the first call of main; the handlers keep no state.  main
+resolves the budget, loads the positional lattice, and wraps each handler's
+fields in the report envelope (schema_version, command and, for a lattice,
+its gram).
 Exit codes: 0 success, 2 validation error, 3 enumeration budget exceeded.
 The enumeration budget can also be set via the CUSPCOUNT_BUDGET variable.
 """
@@ -33,10 +34,12 @@ from .discriminant import (
     fqf_subgroup,
     is_isogenus,
     natural_map,
+    resolve_budget,
 )
 from .errors import BadParams, BudgetExceeded, LatticeError, ParseError
 from .genus import GenusQuery, genus_representatives_rank2
 from .isotropic import (
+    _check_height_bound,
     classify_i1_orbits,
     enumerate_isotropic,
     hyperbolic_completion,
@@ -300,11 +303,12 @@ def _cmd_genus(args) -> dict:
 
 def _cmd_fm(args, lattice) -> dict:
     model = _model_for(lattice, args.hodge)
+    if args.mode == "twisted" and args.d is None:
+        raise LatticeError("fm twisted needs --d")
+    _check_height_bound(args.bound)
     if args.mode == "count":
         report = count_fm(model, budget=args.budget)
     elif args.mode == "twisted":
-        if args.d is None:
-            raise LatticeError("fm twisted needs --d")
         report = count_cusps_zero_dim(
             model, args.d, budget=args.budget, height_bound=args.bound
         )
@@ -440,6 +444,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
+        args.budget = resolve_budget(args.budget)
         if hasattr(args, "lattice"):
             lattice = lattice_from_arg(args.lattice, args.root_convention)
             report["gram"] = _gram_list(lattice)

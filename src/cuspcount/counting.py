@@ -15,22 +15,18 @@ or one stabilizer image per isotropic orbit for elliptic pairs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
 from . import intmat
 from .discriminant import (
-    FiniteQuadraticForm,
     FqfIsometry,
     FqfSubgroup,
-    _check_budget,
     _disc_data,
     _prime_factors,
     aut_group,
     discriminant_form,
     double_coset_count,
-    fqf_isomorphism,
     fqf_subgroup,
     isotropic_elements,
     natural_map,
@@ -38,17 +34,10 @@ from .discriminant import (
     transport_subgroup,
     trivial_subgroup,
 )
-from .errors import (
-    BadParams,
-    HypothesisFails,
-    IncompleteInputs,
-    NoneFoundInWindow,
-    NotIsometry,
-)
+from .errors import BadParams, HypothesisFails, IncompleteInputs
 from .genus import GenusQuery, equivalent_rank2, genus_representatives_rank2, nikulin_unique
 from .isotropic import (
     _check_height_bound,
-    classify_i1_orbits,
     hyperbolic_completion,
     quotient_lattice,
     section_vector,
@@ -152,26 +141,6 @@ def _orbit_count(elements, group: FqfSubgroup) -> int:
     return count
 
 
-def _move_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgroup:
-    """Carry a subgroup of O(A) onto an isomorphic discriminant form.
-
-    Any isomorphism works for counting: the double-coset count is invariant
-    under conjugating one factor.  The trivial group and {+-id} are the same
-    on every form, so they move without an isomorphism search.
-    """
-    if sub.form == target:
-        return sub
-    if sub.order() == 1:
-        return trivial_subgroup(target)
-    pm = plus_minus_subgroup(sub.form)
-    if set(sub.elements) == set(pm.elements):
-        return plus_minus_subgroup(target)
-    psi = fqf_isomorphism(sub.form, target)
-    if psi is None:
-        raise NotIsometry("subgroup cannot be transported onto the target form")
-    return transport_subgroup(sub, psi, target)
-
-
 def _genus_of(lattice: EvenLattice, given: Optional[list] = None, budget=None) -> tuple:
     """(representatives, certified_complete, note); a given list is certified
     by its caller.  The rank-2 sweep runs under the budget."""
@@ -243,7 +212,7 @@ def _genus_sum(hodge: FqfSubgroup, members, right_factors) -> tuple:
     total = terms = minima = 0
     complete = True
     for member, form, ambient in members:
-        moved = _move_subgroup(hodge, form)
+        moved = transport_subgroup(hodge, form)
         factors, factors_complete = right_factors(member, ambient)
         complete = complete and factors_complete
         for factor in factors:
@@ -252,7 +221,7 @@ def _genus_sum(hodge: FqfSubgroup, members, right_factors) -> tuple:
                 total += 1
                 minima += 1
             else:
-                total += double_coset_count(moved, ambient, _move_subgroup(factor, form))
+                total += double_coset_count(moved, ambient, transport_subgroup(factor, form))
     return total, terms, minima, complete
 
 
@@ -328,15 +297,15 @@ def derive_orbit_data(
         return (datum,), True
     if lattice.rank < 2 or not is_indefinite(lattice):
         return (), True  # nondegenerate definite lattices have no isotropic vectors
-    try:
-        (cell,) = classify_i1_orbits(lattice, height_bound, budget=budget)
-    except NoneFoundInWindow:
+    section = section_vector(lattice, height_bound)
+    if section is None:
         return (), False
-    image = _r_image_of_om(cell.quotient, None, None, budget)
-    stab = None if image is None else _move_subgroup(image, form)
-    datum = IsotropicOrbitDatum(cell.representative.vector, stab, image is not None)
+    quotient = quotient_lattice(lattice, section)
+    image = _r_image_of_om(quotient, None, None, budget)
+    stab = None if image is None else transport_subgroup(image, form)
+    datum = IsotropicOrbitDatum(section, stab, image is not None)
     # the cell is the whole divisor-1 orbit list iff its quotient genus has one class
-    reps, certified, _ = _genus_of(cell.quotient, budget=budget)
+    reps, certified, _ = _genus_of(quotient, budget=budget)
     det = abs(lattice.det())
     squarefree = all(det % (p * p) != 0 for p in _prime_factors(det))
     return (datum,), certified and len(reps) == 1 and squarefree and image is not None
@@ -426,33 +395,25 @@ def mu1_fiber_ur(r: int) -> CountReport:
     value = len(classes)
     ambient = direct_sum(named_lattice("U", (r,)), named_lattice("U"))
     data = _disc_data(ambient)
-    class_l = data.classify((Fraction(1, r), 0, 0, 0))
-    class_m = data.classify((0, Fraction(1, r), 0, 0))
-    checked = 0
+    class_l = data.class_of((1, 0, 0, 0), r)
+    class_m = data.class_of((0, 1, 0, 0), r)
+    form = data.form
     for beta in units:
-        for alpha in (0, 1, 2):
-            if gcd(beta, r * alpha) != 1:
-                continue
-            g, delta, gamma = intmat.xgcd(beta, r * alpha)
-            if g != 1:
-                continue
-            cols = {
-                "l": (delta, 0, 0, -r * gamma),
-                "m": (0, beta, -r * alpha, 0),
-                "e": (0, gamma, delta, 0),
-                "f": (alpha, 0, 0, beta),
-            }
-            mat = intmat.from_columns([cols["l"], cols["m"], cols["e"], cols["f"]])
-            iso = LatticeIsometry(ambient, mat)
-            induced = natural_map(ambient, iso)
-            form = data.form
-            if induced.apply(class_l) != form.scale(delta, class_l):
-                raise AssertionError("discriminant action on l/r is not diag(delta, .)")
-            if induced.apply(class_m) != form.scale(beta, class_m):
-                raise AssertionError("discriminant action on m/r is not diag(., beta)")
-            checked += 1
-            break  # one (alpha, beta) verification per unit beta
-    note = f"units of Z/{r} modulo negation; {checked} explicit isometry lifts verified"
+        alpha = 0 if beta == 1 else 1  # the least alpha >= 0 with gcd(beta, r*alpha) = 1
+        _, delta, gamma = intmat.xgcd(beta, r * alpha)
+        cols = {
+            "l": (delta, 0, 0, -r * gamma),
+            "m": (0, beta, -r * alpha, 0),
+            "e": (0, gamma, delta, 0),
+            "f": (alpha, 0, 0, beta),
+        }
+        mat = intmat.from_columns([cols["l"], cols["m"], cols["e"], cols["f"]])
+        induced = natural_map(ambient, LatticeIsometry(ambient, mat))
+        if induced.apply(class_l) != form.scale(delta, class_l):
+            raise AssertionError("discriminant action on l/r is not diag(delta, .)")
+        if induced.apply(class_m) != form.scale(beta, class_m):
+            raise AssertionError("discriminant action on m/r is not diag(., beta)")
+    note = f"units of Z/{r} modulo negation; {len(units)} explicit isometry lifts verified"
     return CountReport(value, ROUTE_UR, True, note)
 
 
@@ -538,7 +499,6 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
     """
     if r <= 2:
         raise BadParams("the U(r) family needs r > 2")
-    _check_budget(r * r, budget)
     ur = named_lattice("U", (r,))
     model = K3Model.generic(ur)
     tau = num_prime_factors(r)
@@ -556,8 +516,8 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
         raise AssertionError("2^(tau-2) phi(r) must be an integer for r > 2")
 
     data = _disc_data(ur)
-    class_l = data.classify((Fraction(1, r), 0))
-    class_m = data.classify((0, Fraction(1, r)))
+    class_l = data.class_of((1, 0), r)
+    class_m = data.class_of((0, 1), r)
     sub_l = frozenset(form.scale(c, class_l) for c in range(r))
     sub_m = frozenset(form.scale(c, class_m) for c in range(r))
     one_dim_distinct = all(

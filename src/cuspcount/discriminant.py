@@ -264,17 +264,19 @@ class _DiscData:
                     out[row] += Fraction(c * self.v[row][idx], d)
         return tuple(out)
 
+    def class_of(self, w, d: int) -> tuple:
+        """Class in the discriminant group of the dual vector w / d, for an
+        integer vector w."""
+        y = intmat.matvec(self.lattice.gram, w)
+        if any(val % d for val in y):
+            raise LatticeError("vector is not in the dual lattice")
+        c = intmat.matvec(self.u, tuple(val // d for val in y))
+        return tuple(c[idx] % self.dvec[idx] for idx in self.keep)
+
     def classify(self, x) -> tuple:
         """Class in the discriminant group of a dual vector x (rational coords)."""
-        y = intmat.matvec(self.lattice.gram, x)
-        ints = []
-        for val in y:
-            f = Fraction(val)
-            if f.denominator != 1:
-                raise LatticeError("vector is not in the dual lattice")
-            ints.append(int(f))
-        c = intmat.matvec(self.u, tuple(ints))
-        return tuple(c[idx] % self.dvec[idx] for idx in self.keep)
+        d = lcm(*(Fraction(val).denominator for val in x))
+        return self.class_of(tuple(int(Fraction(val) * d) for val in x), d)
 
 
 @functools.lru_cache(maxsize=256)
@@ -317,6 +319,22 @@ def _matmul_mod(a: Matrix, b_cols: tuple, orders: tuple) -> Matrix:
         tuple(sum(map(operator.mul, row, col)) % d for col in b_cols)
         for row, d in zip(a, orders)
     )
+
+
+def _inverse_mod(mat: Matrix, orders: tuple) -> Matrix:
+    """The reduced inverse of a reduced automorphism mat of sum_i Z/d_i.
+
+    It is mat^(n-1), where n is the order of mat: the automorphism group
+    of a finite group is finite.
+    """
+    ident = intmat.identity(len(orders))
+    cols = tuple(zip(*mat))
+    prev, power = ident, mat
+    while power != ident:
+        prev, power = power, _matmul_mod(power, cols, orders)
+    if _matmul_mod(mat, tuple(zip(*prev)), orders) != ident:
+        raise AssertionError("g * g^-1 is not the identity")
+    return prev
 
 
 @dataclass(frozen=True)
@@ -372,19 +390,8 @@ class FqfIsometry:
         return FqfIsometry(self.form, intmat.matmul(self.matrix, other.matrix))
 
     def inverse(self) -> "FqfIsometry":
-        """g^(n-1), where n is the order of g: O(A, q) is finite."""
-        if not self.form.ngens:
-            return self
-        orders = self.form.orders
-        ident = intmat.identity(self.form.ngens)
-        cols = tuple(zip(*self.matrix))
-        prev, power = ident, self.matrix
-        while power != ident:
-            prev, power = power, _matmul_mod(power, cols, orders)
-        inv = FqfIsometry(self.form, prev)
-        if _matmul_mod(self.matrix, tuple(zip(*inv.matrix)), orders) != ident:
-            raise AssertionError("g * g^-1 is not the identity")
-        return inv
+        """g^(n-1), where n is the order of g (see _inverse_mod)."""
+        return FqfIsometry(self.form, _inverse_mod(self.matrix, self.form.orders))
 
     def is_identity(self) -> bool:
         return self == FqfIsometry.identity(self.form)
@@ -645,17 +652,11 @@ def natural_map(lattice: EvenLattice, isometry) -> FqfIsometry:
         mat = intmat.freeze(isometry)
         LatticeIsometry(lattice, mat)  # validates
     data = _disc_data(lattice)
-    form = data.form
-    cols = []
-    for idx in data.keep:
-        d = data.dvec[idx]
-        w = intmat.matvec(mat, tuple(row[idx] for row in data.v))
-        y = intmat.matvec(lattice.gram, w)
-        if any(val % d != 0 for val in y):
-            raise AssertionError("isometry image left the dual lattice")
-        c = intmat.matvec(data.u, tuple(val // d for val in y))
-        cols.append(tuple(c[i] % data.dvec[i] for i in data.keep))
-    return FqfIsometry.from_images(form, cols)
+    cols = [
+        data.class_of(intmat.matvec(mat, tuple(row[idx] for row in data.v)), data.dvec[idx])
+        for idx in data.keep
+    ]
+    return FqfIsometry.from_images(data.form, cols)
 
 
 def isotropic_elements(form: FiniteQuadraticForm, d: int, budget: Optional[int] = None) -> list:
@@ -821,31 +822,30 @@ def double_coset_count(left: FqfSubgroup, ambient: FqfSubgroup, right: FqfSubgro
     return count
 
 
-def transport_subgroup(sub: FqfSubgroup, iso_matrix: Matrix, target: FiniteQuadraticForm) -> FqfSubgroup:
-    """Conjugate a subgroup of O(A_src) into O(A_tgt) along an isomorphism."""
+def transport_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubgroup:
+    """Carry a subgroup of O(A_src) onto an isomorphic form as {psi g psi^-1}.
+
+    Any isomorphism psi works for counting: the double-coset count is
+    invariant under conjugating one factor.  The trivial group and {+-id}
+    are the same on every form, so they move without an isomorphism search.
+    psi is an automorphism of the group sum_i Z/d_i of both forms, so
+    _inverse_mod inverts it and _matmul_mod composes with it.
+    """
     source = sub.form
-    if source.orders != target.orders:
-        raise NotIsometry("transport needs identical invariant factors")
-    if source.is_trivial():
+    if source == target:
+        return sub
+    if sub.order() == 1:
         return trivial_subgroup(target)
-    # invert the isomorphism by mapping every element once
-    image_of = {}
-    k = source.ngens
-    for x in source.elements():
-        img = target.reduce(intmat.matvec(iso_matrix, x))
-        image_of[x] = img
-    preimage = {img: x for x, img in image_of.items()}
-    unit_cols = []
-    for j in range(k):
-        e = tuple(1 if i == j else 0 for i in range(k))
-        unit_cols.append(preimage[e])
+    if set(sub.elements) == set(plus_minus_subgroup(source).elements):
+        return plus_minus_subgroup(target)
+    psi = fqf_isomorphism(source, target)
+    if psi is None:
+        raise NotIsometry("subgroup cannot be transported onto the target form")
+    orders = target.orders
+    psi_inv_cols = tuple(zip(*_inverse_mod(psi, orders)))
     moved = []
-    for iso in sub.elements:
-        cols = []
-        for j in range(k):
-            # psi(T(psi^{-1}(e_j)))
-            x = unit_cols[j]
-            cols.append(image_of[iso.apply(x)])
-        moved.append(FqfIsometry.from_images(target, cols))
-    elements = tuple(sorted(set(moved), key=lambda iso: iso.matrix))
+    for g in sub.elements:
+        psi_g = _matmul_mod(psi, tuple(zip(*g.matrix)), orders)
+        moved.append(FqfIsometry(target, _matmul_mod(psi_g, psi_inv_cols, orders)))
+    elements = tuple(sorted(moved, key=lambda iso: iso.matrix))
     return FqfSubgroup(target, elements, elements)

@@ -1,8 +1,8 @@
 """Arguments below their range exit 2 as bad arguments.
 
-A budget below 1, a height bound below 1 on the built-in U(r) route and a
-verify-ur range without any r > 2 are validation errors, not a budget
-overrun, a certified answer or a pass over nothing.
+A budget below 1, a height bound below 1 on the built-in U(r) route or for
+fm count, and a verify-ur range without any r > 2 are validation errors,
+not a budget overrun, a certified answer or a pass over nothing.
 """
 
 import io
@@ -55,12 +55,35 @@ class TestBudgetBelowOne:
         assert err == "cuspcount: budget exceeded: |A| = 4 exceeds the budget 1\n"
 
 
+class TestBudgetCheckedUpFront:
+    """main resolves the budget before any command runs, so commands that
+    guard no enumeration reject a bad one too."""
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [("disc", "U(2)"), ("isotropic", "U(2)+U")])
+    def test_cli_exits_2(self, argv, budget):
+        assert run_cli(*argv, "--budget", budget) == (
+            2, "", f"cuspcount: the budget must be at least 1, got {budget}\n"
+        )
+
+    def test_malformed_env_exits_2(self, monkeypatch):
+        monkeypatch.setenv("CUSPCOUNT_BUDGET", "abc")
+        assert run_cli("disc", "U(2)") == (
+            2, "", "cuspcount: CUSPCOUNT_BUDGET must be an integer, got 'abc'\n"
+        )
+
+
 class TestHeightBoundBelowOne:
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_ur_route_exits_2(self, bound):
         expected = run_cli("cusps", "U(2)", "--div", "2", "--bound", "0")
         assert expected == (2, "", "cuspcount: height bound must be positive\n")
         assert run_cli("fm", "elliptic", "U(6)", "--bound", bound) == expected
+
+    def test_fm_count_exits_2(self):
+        assert run_cli("fm", "count", "U(6)", "--bound", "0") == (
+            2, "", "cuspcount: height bound must be positive\n"
+        )
 
     def test_library_raises(self):
         with pytest.raises(ZeroVector):

@@ -356,35 +356,35 @@ class TestMoveSubgroup:
         return {iso.matrix for iso in sub.elements}
 
     def test_same_form(self):
-        from cuspcount.counting import _move_subgroup
+        from cuspcount.discriminant import transport_subgroup
 
         source, _ = self.forms()
         sub = aut_group(source)
-        assert _move_subgroup(sub, source) is sub
+        assert transport_subgroup(sub, source) is sub
 
     def test_order_one(self):
-        from cuspcount.counting import _move_subgroup
+        from cuspcount.discriminant import transport_subgroup
 
         source, target = self.forms()
-        moved = _move_subgroup(trivial_subgroup(source), target)
+        moved = transport_subgroup(trivial_subgroup(source), target)
         assert moved.form == target
         assert moved.order() == 1
 
     def test_plus_minus(self):
-        from cuspcount.counting import _move_subgroup
+        from cuspcount.discriminant import transport_subgroup
 
         source, target = self.forms()
-        moved = _move_subgroup(plus_minus_subgroup(source), target)
+        moved = transport_subgroup(plus_minus_subgroup(source), target)
         assert moved.form == target
         assert self.elements(moved) == self.elements(plus_minus_subgroup(target))
 
     def test_full_group_by_isomorphism_search(self):
-        from cuspcount.counting import _move_subgroup
+        from cuspcount.discriminant import transport_subgroup
 
         source, target = self.forms()
         full = aut_group(source)
         assert full.order() == 8  # larger than {+-id}: no shortcut applies
-        moved = _move_subgroup(full, target)
+        moved = transport_subgroup(full, target)
         assert moved.form == target
         assert self.elements(moved) == self.elements(aut_group(target))
 

@@ -14,6 +14,7 @@ from cuspcount.cli import parse_lattice_spec
 from cuspcount.discriminant import (
     FqfIsometry,
     FqfSubgroup,
+    _inverse_mod,
     aut_group,
     discriminant_form,
     double_coset_count,
@@ -194,4 +195,5 @@ def test_inverse_matches_enumeration(label):
     for iso in aut_group(form).elements:
         inv = iso.inverse()
         assert inv == reference_inverse(iso)
+        assert _inverse_mod(iso.matrix, form.orders) == reference_inverse(iso).matrix
         assert iso.compose(inv).is_identity()
