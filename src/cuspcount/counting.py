@@ -492,10 +492,11 @@ class UrExampleReport:
 def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
     """Brute-force verification of the whole U(r) family, r > 2.
 
-    Every value is computed by orbit/double-coset enumeration and compared
-    against its closed form: genus singleton; 2^(tau-2) phi(r) partners;
-    two inequivalent fibrations mapping to distinct boundary curves;
-    2^(tau-1) phi(r) elliptic pairs; fiber phi(r)/2; 2^tau boundary curves.
+    Every value is computed by orbit and double-coset counting over the
+    enumerated O(A) and compared against its closed form: genus singleton;
+    2^(tau-2) phi(r) partners; two inequivalent fibrations mapping to
+    distinct boundary curves; 2^(tau-1) phi(r) elliptic pairs; fiber
+    phi(r)/2; 2^tau boundary curves.
     """
     if r <= 2:
         raise BadParams("the U(r) family needs r > 2")

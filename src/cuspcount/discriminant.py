@@ -273,11 +273,6 @@ class _DiscData:
         c = intmat.matvec(self.u, tuple(val // d for val in y))
         return tuple(c[idx] % self.dvec[idx] for idx in self.keep)
 
-    def classify(self, x) -> tuple:
-        """Class in the discriminant group of a dual vector x (rational coords)."""
-        d = lcm(*(Fraction(val).denominator for val in x))
-        return self.class_of(tuple(int(Fraction(val) * d) for val in x), d)
-
 
 @functools.lru_cache(maxsize=256)
 def _disc_data(lattice: EvenLattice) -> _DiscData:
@@ -789,18 +784,57 @@ def is_isogenus(left: EvenLattice, right: EvenLattice, budget: Optional[int] = N
     return IsogenyResult(witness is not None, witness)
 
 
-def double_coset_count(left: FqfSubgroup, ambient: FqfSubgroup, right: FqfSubgroup) -> int:
-    """Number of double cosets left \\ ambient / right by orbit sweeping.
+def _is_central(sub: FqfSubgroup) -> bool:
+    """Whether every element of sub is a scalar c * id.
 
-    The sweep multiplies reduced matrices.  Every product l x r must be the
-    matrix of an element of the ambient group, whose elements were all
-    validated when it was built; a product outside it (an ambient element
-    set that is not closed) raises AssertionError.
+    Scalars commute with every endomorphism of sum_i Z/d_i, so such a
+    subgroup is central in O(A, q); {1} and {+-1} are two.  The orders form
+    a divisibility chain, so c mod the exponent is the last diagonal entry.
+    """
+    orders = sub.form.orders
+    k = len(orders)
+    for iso in sub.elements:
+        c = iso.matrix[-1][-1] if k else 0
+        scalar = tuple(tuple(c % d if i == j else 0 for j in range(k)) for i, d in enumerate(orders))
+        if iso.matrix != scalar:
+            return False
+    return True
+
+
+def double_coset_count(left: FqfSubgroup, ambient: FqfSubgroup, right: FqfSubgroup) -> int:
+    """Number of double cosets left \\ ambient / right.
+
+    When either factor is central (_is_central), H g K = g H K, so the
+    double cosets are the cosets of the subgroup HK and the count is
+    |G| / |HK|, where |HK| = |H| |K| / |H intersect K| and the intersection
+    is found by membership.  An |HK| that does not divide |G| (Lagrange)
+    raises AssertionError.  Every other pair runs the orbit sweep
+    _double_coset_sweep.
     """
     if not left.is_subgroup_of(ambient):
         raise SubgroupNotContained("left factor is not contained in the ambient group")
     if not right.is_subgroup_of(ambient):
         raise SubgroupNotContained("right factor is not contained in the ambient group")
+    for central, other in ((left, right), (right, left)):
+        if _is_central(central):
+            meet = sum(iso in other for iso in central.elements)
+            hk, rest = divmod(central.order() * other.order(), meet)
+            if rest or ambient.order() % hk:
+                raise AssertionError("|HK| does not divide the ambient order")
+            return ambient.order() // hk
+    return _double_coset_sweep(left, ambient, right)
+
+
+def _double_coset_sweep(left: FqfSubgroup, ambient: FqfSubgroup, right: FqfSubgroup) -> int:
+    """Number of double cosets left \\ ambient / right by orbit sweeping.
+
+    The reference for the order route of double_coset_count, and the route
+    for a pair with no central factor.  The sweep multiplies reduced
+    matrices.  Every product l x r must be the matrix of an element of the
+    ambient group, whose elements were all validated when it was built; a
+    product outside it (an ambient element set that is not closed) raises
+    AssertionError.
+    """
     orders = ambient.form.orders
     members = {iso.matrix for iso in ambient.elements}
     lefts = [l.matrix for l in left.elements]
@@ -826,18 +860,18 @@ def transport_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubg
     """Carry a subgroup of O(A_src) onto an isomorphic form as {psi g psi^-1}.
 
     Any isomorphism psi works for counting: the double-coset count is
-    invariant under conjugating one factor.  The trivial group and {+-id}
-    are the same on every form, so they move without an isomorphism search.
-    psi is an automorphism of the group sum_i Z/d_i of both forms, so
-    _inverse_mod inverts it and _matmul_mod composes with it.
+    invariant under conjugating one factor.  A subgroup of scalars, such as
+    {1} or {+-id}, moves as itself (psi c psi^-1 = c) onto a form on the same
+    group, without an isomorphism search.  psi is an automorphism of the
+    group sum_i Z/d_i of both forms, so _inverse_mod inverts it and
+    _matmul_mod composes with it.
     """
     source = sub.form
     if source == target:
         return sub
-    if sub.order() == 1:
-        return trivial_subgroup(target)
-    if set(sub.elements) == set(plus_minus_subgroup(source).elements):
-        return plus_minus_subgroup(target)
+    if source.orders == target.orders and _is_central(sub):
+        scalars = (FqfIsometry(target, g.matrix) for g in sub.elements if not g.is_identity())
+        return fqf_subgroup(target, scalars)
     psi = fqf_isomorphism(source, target)
     if psi is None:
         raise NotIsometry("subgroup cannot be transported onto the target form")

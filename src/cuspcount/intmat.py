@@ -370,22 +370,3 @@ def hnf_rows(mat) -> Matrix:
         if r == len(a):
             break
     return tuple(tuple(row) for row in a[:r])
-
-
-def saturation(cols_mat) -> Matrix:
-    """Saturation of the column span inside Z^n (double annihilator)."""
-    ann = kernel_basis(transpose(cols_mat))
-    return kernel_basis(transpose(ann))
-
-
-def random_unimodular(n: int, rng, steps: int = 12) -> Matrix:
-    """Random unimodular matrix from elementary ops (deterministic given rng)."""
-    m = thaw(identity(n))
-    for _ in range(steps):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-3, 3)
-        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
-    return freeze(m)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from cuspcount import intmat
 from cuspcount.lattices import direct_sum, make_lattice, named_lattice
 
 
@@ -60,6 +62,35 @@ def corpus_lattices():
 @pytest.fixture()
 def rng():
     return random.Random(20240817)
+
+
+# --- test-only helpers ------------------------------------------------------
+
+
+def random_unimodular(n: int, rng, steps: int = 12):
+    """Random unimodular matrix from elementary ops (deterministic given rng)."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.randint(-3, 3)
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return intmat.freeze(m)
+
+
+def saturation(cols_mat):
+    """Saturation of the column span inside Z^n (double annihilator)."""
+    ann = intmat.kernel_basis(intmat.transpose(cols_mat))
+    return intmat.kernel_basis(intmat.transpose(ann))
+
+
+def classify(data, x) -> tuple:
+    """Class in the discriminant group of a dual vector x (rational coords),
+    for the _DiscData of its lattice."""
+    d = lcm(*(Fraction(val).denominator for val in x))
+    return data.class_of(tuple(int(Fraction(val) * d) for val in x), d)
 
 
 # --- independent oracles ----------------------------------------------------

@@ -15,18 +15,26 @@ from conftest import U, corpus, diag, sums
 from cuspcount import intmat
 from cuspcount.counting import (
     K3Model,
+    _genus_of,
+    _r_image_of_om,
+    _with_ambients,
     count_cusps_zero_dim,
     count_fm,
+    derive_orbit_data,
     route_crosscheck,
     ur_example,
 )
 from cuspcount.discriminant import (
+    _double_coset_sweep,
     _prime_factors,
     aut_group,
     discriminant_form,
+    double_coset_count,
     isotropic_subgroups,
     natural_map,
     overlattice,
+    plus_minus_subgroup,
+    transport_subgroup,
 )
 from cuspcount.genus import GenusQuery, equivalent_rank2, genus_representatives_rank2, nikulin_unique
 from cuspcount.isotropic import (
@@ -61,14 +69,39 @@ def closed_forms(r):
     }
 
 
+def ur_terms_two_ways(r):
+    """Each double-coset term of U(r)'s partner and elliptic-pair counts, by
+    double_coset_count and by the brute-force sweep: {kind: [(count, sweep)]}."""
+    terms = {"fm": [], "fm_ell": []}
+    for member, form, ambient in _with_ambients(_genus_of(U(r))[0], None):
+        pm = plus_minus_subgroup(form)
+        rights = {
+            "fm": [_r_image_of_om(member, None, ambient)],
+            "fm_ell": [
+                transport_subgroup(datum.stabilizer_image, form)
+                for datum in derive_orbit_data(member, None)[0]
+            ],
+        }
+        for kind, factors in rights.items():
+            terms[kind] += [
+                (double_coset_count(pm, ambient, f), _double_coset_sweep(pm, ambient, f))
+                for f in factors
+            ]
+    return terms
+
+
 def test_criterion_1_ur_golden_suite():
     start = time.time()
     mismatches = []
     for r in GOLDEN_R:
         got = ur_example(r)
         want = closed_forms(r)
+        terms = ur_terms_two_ways(r)
         if not (
-            got.passed
+            all(count == sweep for pairs in terms.values() for count, sweep in pairs)
+            and sum(count for count, _ in terms["fm"]) == got.fm.value
+            and sum(count for count, _ in terms["fm_ell"]) == got.fm_ell.value
+            and got.passed
             and got.fm.value == want["fm"]
             and got.fm_ell.value == want["fm_ell"]
             and got.mu1.value == want["mu1"]
@@ -82,7 +115,7 @@ def test_criterion_1_ur_golden_suite():
     elapsed = time.time() - start
     report(
         not mismatches and elapsed < 60,
-        "criterion-1 U(r) golden suite (brute-force orbit/double-coset vs closed forms)",
+        "criterion-1 U(r) golden suite (brute-force orbit/double-coset sweep vs closed forms)",
         f"r in {GOLDEN_R}, {elapsed:.1f}s",
     )
 
@@ -275,3 +308,14 @@ def test_criterion_7_determinism():
     first = run_all()
     second = run_all()
     report(first == second, "criterion-7 byte-identical JSON across consecutive runs")
+
+
+def test_criterion_8_rank_one_closed_form():
+    # Picard rank one: <2n> has 2^(tau(n)-1) FM partners (Oguiso 2002;
+    # Hosono-Lian-Oguiso-Yau 2003)
+    bad = []
+    for n in range(2, 200):
+        got = count_fm(K3Model.generic(diag(2 * n)))
+        if not (got.exact and got.value == 2 ** (len(sympy.primefactors(n)) - 1)):
+            bad.append(n)
+    report(not bad, "criterion-8 count_fm(<2n>) = 2^(tau(n)-1), exact, n = 2..199", f"mismatches {bad}")

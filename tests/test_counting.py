@@ -378,6 +378,24 @@ class TestMoveSubgroup:
         assert moved.form == target
         assert self.elements(moved) == self.elements(plus_minus_subgroup(target))
 
+    def test_scalar_subgroup_moves_as_itself(self, monkeypatch):
+        from cuspcount import discriminant
+        from cuspcount.discriminant import FqfIsometry, transport_subgroup
+
+        source, target = self.forms()
+        # 11 and 19 generate the scalars {1, 11, 19, 29} on Z/2 + Z/30
+        scalars = fqf_subgroup(source, (FqfIsometry(source, ((1, 0), (0, c))) for c in (11, 19)))
+        assert scalars.order() == 4
+
+        def no_search(*args):
+            raise AssertionError("a scalar subgroup needed an isomorphism search")
+
+        monkeypatch.setattr(discriminant, "fqf_isomorphism", no_search)
+        moved = transport_subgroup(scalars, target)
+        assert moved.form == target
+        assert self.elements(moved) == self.elements(scalars)
+        assert self.elements(moved) <= self.elements(aut_group(target))
+
     def test_full_group_by_isomorphism_search(self):
         from cuspcount.discriminant import transport_subgroup
 

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from conftest import U, diag, sums
+from conftest import U, classify, diag, random_unimodular, sums
 
 from cuspcount import intmat
 from cuspcount.counting import derive_orbit_data
@@ -85,8 +85,8 @@ class TestPaperedGroupShapes:
         data = _disc_data(ur)
         from fractions import Fraction
 
-        class_l = data.classify((Fraction(1, r), 0))
-        class_m = data.classify((0, Fraction(1, r)))
+        class_l = classify(data, (Fraction(1, r), 0))
+        class_m = classify(data, (0, Fraction(1, r)))
         form = data.form
         for iso in aut_group(form).elements:
             img_l, img_m = iso.apply(class_l), iso.apply(class_m)
@@ -106,8 +106,8 @@ class TestPaperedGroupShapes:
         data = _disc_data(ur)
         from fractions import Fraction
 
-        class_l = data.classify((Fraction(1, r), 0))
-        class_m = data.classify((0, Fraction(1, r)))
+        class_l = classify(data, (Fraction(1, r), 0))
+        class_m = classify(data, (0, Fraction(1, r)))
         form = data.form
 
         def coords(x):
@@ -148,7 +148,7 @@ class TestOverlatticeQuotientChain:
                 data = _disc_data(lattice)
                 from fractions import Fraction
 
-                cls = data.classify(tuple(Fraction(x, d) for x in iv.vector))
+                cls = classify(data, tuple(Fraction(x, d) for x in iv.vector))
                 over = overlattice(lattice, [cls])
                 quot = quotient_lattice(lattice, iv.vector)
                 model = direct_sum(U(1), quot)
@@ -184,7 +184,7 @@ class TestGenusSweepCompleteness:
     def test_equivalence_invariant_under_random_base_change(self, rng):
         for _ in range(40):
             lattice = self._random_rank2(rng)
-            t = intmat.random_unimodular(2, rng)
+            t = random_unimodular(2, rng)
             twisted = EvenLattice(
                 intmat.matmul(intmat.matmul(intmat.transpose(t), lattice.gram), t)
             )

@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import U, diag, random_even_lattice, sums
+from conftest import U, classify, diag, random_even_lattice, sums
 
 from cuspcount import intmat
 from cuspcount.discriminant import (
@@ -152,8 +152,8 @@ class TestNaturalMap:
         r = 5
         data = _disc_data(U(r))
         swap = natural_map(U(r), LatticeIsometry(U(r), ((0, 1), (1, 0))))
-        class_l = data.classify((Fraction(1, r), 0))
-        class_m = data.classify((0, Fraction(1, r)))
+        class_l = classify(data, (Fraction(1, r), 0))
+        class_m = classify(data, (0, Fraction(1, r)))
         assert swap.apply(class_l) == class_m
         assert swap.apply(class_m) == class_l
 
@@ -198,8 +198,8 @@ def _lift_search(lattice, data, target, r, bound):
         and sum(v[a] * gram[a][b] * v[b] for a in range(n) for b in range(n)) == 0
     ]
 
-    class_l = data.classify((Fraction(1, r), 0, 0, 0))
-    class_m = data.classify((0, Fraction(1, r), 0, 0))
+    class_l = classify(data, (Fraction(1, r), 0, 0, 0))
+    class_m = classify(data, (0, Fraction(1, r), 0, 0))
     want_l = target.apply(class_l)
     want_m = target.apply(class_m)
 
@@ -207,7 +207,7 @@ def _lift_search(lattice, data, target, r, bound):
         pairings = intmat.matvec(gram, v)
         if any(x % r for x in pairings):
             return None
-        return data.classify(tuple(Fraction(x, r) for x in v))
+        return classify(data, tuple(Fraction(x, r) for x in v))
 
     def pair(u, v):
         return sum(u[a] * gram[a][b] * v[b] for a in range(n) for b in range(n))

@@ -4,7 +4,7 @@ Fraction formulas, on random even lattices of rank <= 4."""
 import random
 from fractions import Fraction
 
-from conftest import det_oracle
+from conftest import det_oracle, random_unimodular
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -60,7 +60,7 @@ def even_grams(draw):
     assume(det != 0 and abs(det) <= MAX_ORDER)
     steps = draw(st.integers(0, 4))
     if steps and n > 1:
-        u = intmat.random_unimodular(n, random.Random(draw(st.integers(0, 2**16))), steps)
+        u = random_unimodular(n, random.Random(draw(st.integers(0, 2**16))), steps)
         gram = intmat.matmul(intmat.matmul(intmat.transpose(u), gram), u)
     return [list(row) for row in gram]
 

@@ -1,20 +1,22 @@
 """Group products on reduced matrices against the compose-based references.
 
-double_coset_count and fqf_subgroup multiply reduced isometry matrices
-directly; FqfIsometry.inverse takes powers.  The references below are the
-compose-and-validate sweep, closure and element-enumerating inverse they
-replaced.
+double_coset_count answers from group orders when a factor is central and
+otherwise sweeps reduced matrices; fqf_subgroup multiplies reduced
+matrices; FqfIsometry.inverse takes powers.  The references below are the
+compose-and-validate sweep, closure and element-enumerating inverse.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspcount import discriminant
 from cuspcount.cli import parse_lattice_spec
 from cuspcount.discriminant import (
     FqfIsometry,
     FqfSubgroup,
     _inverse_mod,
+    _is_central,
     aut_group,
     discriminant_form,
     double_coset_count,
@@ -23,6 +25,7 @@ from cuspcount.discriminant import (
     plus_minus_subgroup,
     trivial_subgroup,
 )
+from cuspcount.errors import NotIsometry
 
 # the ten fqf-groups benchmark tiers, in the standard basis, plus U(3)+U(3)
 TIERS = (
@@ -51,6 +54,10 @@ SMALL = (
     "U(2)+diag(-2,-2,-2)",
     "U(2)+U(4)",
 )
+
+# cyclic Z/60 and Z/2 + Z/30: 8 and 4 scalar isometries, so central factors
+# beyond {1} and {+-1}
+SCALAR_RICH = ("diag(60)", "diag(2,-30)")
 
 
 def reference_double_coset_count(left, ambient, right) -> int:
@@ -90,6 +97,18 @@ def reference_inverse(iso) -> FqfIsometry:
     preimage = {iso.apply(x): x for x in form.elements()}
     cols = [preimage[tuple(1 if i == j else 0 for i in range(k))] for j in range(k)]
     return FqfIsometry.from_images(form, cols)
+
+
+def scalar_isometries(form) -> list:
+    """Every c * id that is an isometry, c mod the exponent."""
+    k = form.ngens
+    found = []
+    for c in range(form.exponent()):
+        try:
+            found.append(FqfIsometry(form, tuple(tuple(c * (i == j) for j in range(k)) for i in range(k))))
+        except NotIsometry:
+            pass
+    return found
 
 
 def first_block_image(lattice):
@@ -137,6 +156,28 @@ class TestDoubleCosetSweep:
         broken = FqfSubgroup(form, (g,), tuple(sorted((ident, g), key=lambda iso: iso.matrix)))
         with pytest.raises(AssertionError):
             double_coset_count(broken, broken, broken)
+
+    def test_central_factor_skips_the_sweep(self, tier, monkeypatch):
+        lattice, form, ambient = tier
+        pm = plus_minus_subgroup(form)
+        image = fqf_subgroup(form, first_block_image(lattice))
+        want = reference_double_coset_count(pm, ambient, image)
+
+        def no_sweep(*args):
+            raise AssertionError("a central factor was swept")
+
+        monkeypatch.setattr(discriminant, "_double_coset_sweep", no_sweep)
+        assert double_coset_count(pm, ambient, image) == want
+        assert double_coset_count(image, ambient, pm) == want
+
+    def test_order_route_checks_lagrange(self):
+        form = discriminant_form(parse_lattice_spec("U(3)+A(2)"))
+        g = element_of_order_3(aut_group(form))
+        pm = plus_minus_subgroup(form)
+        # {1, -1, g} is not a group, and |{+-1}| = 2 does not divide 3
+        broken = FqfSubgroup(form, (g,), tuple(sorted({*pm.elements, g}, key=lambda iso: iso.matrix)))
+        with pytest.raises(AssertionError):
+            double_coset_count(pm, broken, trivial_subgroup(form))
 
 
 class TestClosure:
@@ -187,6 +228,20 @@ def test_random_generator_subsets_match_reference(label, data):
     assert double_coset_count(left, ambient, right) == reference_double_coset_count(
         left, ambient, right
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL + SCALAR_RICH), st.data())
+def test_order_route_matches_reference(label, data):
+    form = discriminant_form(parse_lattice_spec(label))
+    ambient = aut_group(form)
+    scalars = fqf_subgroup(form, data.draw(st.lists(st.sampled_from(scalar_isometries(form)), max_size=2)))
+    two_gens = fqf_subgroup(form, data.draw(st.lists(st.sampled_from(ambient.elements), min_size=2, max_size=2)))
+    left = data.draw(st.sampled_from((trivial_subgroup(form), plus_minus_subgroup(form), scalars)))
+    right = data.draw(st.sampled_from((trivial_subgroup(form), plus_minus_subgroup(form), ambient, two_gens)))
+    assert _is_central(left)
+    for h, k in ((left, right), (right, left)):
+        assert double_coset_count(h, ambient, k) == reference_double_coset_count(h, ambient, k)
 
 
 @pytest.mark.parametrize("label", ["U(6)", "U(12)", "U(2)+U(4)", "U(3)+A(2)"])

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from conftest import det_oracle
+from conftest import det_oracle, random_unimodular, saturation
 
 from cuspcount import intmat
 
@@ -42,8 +42,8 @@ def test_snf_diagonal_unimodular_invariance(rng):
     for _ in range(25):
         n = rng.randint(2, 4)
         mat = intmat.freeze([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-        left = intmat.random_unimodular(n, rng)
-        right = intmat.random_unimodular(n, rng)
+        left = random_unimodular(n, rng)
+        right = random_unimodular(n, rng)
         twisted = intmat.matmul(intmat.matmul(left, mat), right)
         assert intmat.smith_diagonal(mat) == intmat.smith_diagonal(twisted)
 
@@ -62,7 +62,7 @@ def test_kernel_basis(rng):
     for col in intmat.columns(k):
         assert all(x == 0 for x in intmat.matvec(mat, col))
     # saturated: gcd across each HNF pivot is 1
-    assert intmat.saturation(k) == k
+    assert saturation(k) == k
 
 
 def test_hnf_rows_canonical():
@@ -75,7 +75,7 @@ def test_hnf_rows_canonical():
 def test_inv_unimodular(rng):
     for _ in range(20):
         n = rng.randint(1, 4)
-        m = intmat.random_unimodular(n, rng)
+        m = random_unimodular(n, rng)
         assert intmat.matmul(m, intmat.inv_unimodular(m)) == intmat.identity(n)
 
 

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import U, det_oracle, diag, sums
+from conftest import U, det_oracle, diag, random_unimodular, sums
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -129,7 +129,7 @@ def indefinite_grams(draw):
     gram = [[gram[i][j] for j in perm] for i in perm]
     steps = draw(st.integers(0, 4))
     if steps:
-        u = intmat.random_unimodular(n, random.Random(draw(st.integers(0, 2**16))), steps)
+        u = random_unimodular(n, random.Random(draw(st.integers(0, 2**16))), steps)
         gram = intmat.matmul(intmat.matmul(intmat.transpose(u), gram), u)
     return [list(row) for row in gram]
 

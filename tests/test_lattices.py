@@ -1,5 +1,5 @@
 import pytest
-from conftest import random_even_lattice, signature_oracle, sums, U, diag
+from conftest import random_even_lattice, saturation, signature_oracle, sums, U, diag
 
 from cuspcount import intmat
 from cuspcount.errors import (
@@ -218,7 +218,7 @@ class TestOrthogonalComplement:
             _, comp_emb = orthogonal_complement(ambient, emb)
             _, double_emb = orthogonal_complement(ambient, comp_emb)
             span_dd = intmat.hnf_rows(intmat.transpose(double_emb.matrix))
-            span_sat = intmat.hnf_rows(intmat.transpose(intmat.saturation(emb.matrix)))
+            span_sat = intmat.hnf_rows(intmat.transpose(saturation(emb.matrix)))
             assert span_dd == span_sat
             checked += 1
 

@@ -7,7 +7,7 @@ every element of A once along psi and reads psi^-1 off that table.
 import random
 
 import pytest
-from conftest import corpus, diag
+from conftest import corpus, diag, random_unimodular
 
 from cuspcount import intmat
 from cuspcount.cli import parse_lattice_spec
@@ -44,7 +44,7 @@ def reference_transport(sub, iso_matrix, target) -> FqfSubgroup:
 
 
 def _rebased(lattice, rng):
-    u = intmat.random_unimodular(lattice.rank, rng)
+    u = random_unimodular(lattice.rank, rng)
     return make_lattice(intmat.matmul(intmat.matmul(intmat.transpose(u), lattice.gram), u))
 
 
