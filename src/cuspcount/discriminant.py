@@ -403,6 +403,16 @@ class FqfIsometry:
             form, tuple(tuple(-1 if i == j else 0 for j in range(k)) for i in range(k))
         )
 
+    @classmethod
+    def _certified(cls, form: FiniteQuadraticForm, matrix: Matrix) -> "FqfIsometry":
+        """An element of O(A, q) from its reduced matrix, without
+        __post_init__: only for aut_group's primary route, whose search has
+        certified the matrix (see aut_group)."""
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "form", form)
+        object.__setattr__(iso, "matrix", matrix)
+        return iso
+
     @staticmethod
     def from_images(form: FiniteQuadraticForm, images) -> "FqfIsometry":
         k = form.ngens
@@ -527,13 +537,14 @@ def _image_assignments(form, pool, gen_orders, gen_q, gen_b):
     the required q- and b-numerators over the exponent of `form` (N q mod 2N,
     N b mod N).  Yields image tuples in the lexicographic order of `pool`.
     Callers pass as many generators as make up the group spanned by the
-    pool, so injective means bijective onto it.
+    pool, so injective means bijective onto it.  Each candidate's pairing
+    row is computed once, as it enters its bucket.
     """
     buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
     for x in pool:
         bucket = buckets.get((form.element_order(x), form._qn(x)))
         if bucket is not None:
-            bucket.append(x)
+            bucket.append((x, form._pairing(x)))
     candidates = [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
     socle = [
         (p, [(i, e // p) for i, e in enumerate(gen_orders) if e % p == 0])
@@ -553,13 +564,13 @@ def _place_images(form, candidates, gen_b, socle, images, pairings):
         return
     n = form._n
     wants = gen_b[i]
-    for x in candidates[i]:
+    for x, row in candidates[i]:
         for pairing, want in zip(pairings, wants):
             if sum(map(operator.mul, x, pairing)) % n != want:
                 break
         else:
             images.append(x)
-            pairings.append(form._pairing(x))
+            pairings.append(row)
             yield from _place_images(form, candidates, gen_b, socle, images, pairings)
             images.pop()
             pairings.pop()
@@ -575,48 +586,81 @@ def _aut_direct(form: FiniteQuadraticForm) -> list:
     return out
 
 
-def _primary_images(source: FiniteQuadraticForm, target: FiniteQuadraticForm, limit=None) -> list:
-    """Images of the generators under isometries source -> target, from up
-    to `limit` solutions per p-primary block (None: all).  The forms have
-    equal orders, hence one exponent, so the source numerators apply.
+def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm, limit=None) -> Optional[list]:
+    """Per p-primary block, the contribution matrices of up to `limit` of
+    its isometries source -> target (None: all); None when a block has none.
+    The forms have equal orders, hence one exponent, so the source
+    numerators apply.
 
     A is the orthogonal sum of its p-parts A_p, spanned by the h_i =
     (d_i / p^v) g_i with p^v || d_i.  Each block searches a pool of the |A_p|
-    target elements; the CRT idempotents of the exponent stitch one solution
-    per block into images of the g_i.  For one prime the h_i are the g_i.
+    target elements.  The CRT idempotent e_p of the exponent gives
+    e_p g_i = w_i h_i, so a block solution sigma contributes w_i sigma(h_i)
+    to column i of every element it is part of: its contribution matrix,
+    with row i reduced mod d_i.  For one prime the h_i are the g_i, each
+    w_i is 1 and a contribution matrix is the element's reduced matrix.
     """
     k = source.ngens
     exponent = source.exponent()
+    orders = source.orders
     blocks = []
     for p in _prime_factors(exponent):
         pe_n = p ** _p_valuation(exponent, p)
         m = exponent // pe_n
         idem = m * pow(m, -1, pe_n)
-        idxs = [i for i in range(k) if source.orders[i] % p == 0]
-        pe = [p ** _p_valuation(source.orders[i], p) for i in idxs]
+        idxs = [i for i in range(k) if orders[i] % p == 0]
+        pe = [p ** _p_valuation(orders[i], p) for i in idxs]
         hgens = []
         weights = []
         for i, q in zip(idxs, pe):
             coords = [0] * k
-            coords[i] = source.orders[i] // q
+            coords[i] = orders[i] // q
             hgens.append(tuple(coords))
-            weights.append((idem % source.orders[i]) // (source.orders[i] // q))
+            weights.append((idem % orders[i]) // (orders[i] // q))
         pool = sorted(_span_elements(target, hgens))
         gen_b = [[source._bn(g, h) for h in hgens] for g in hgens]
         gen_q = [source._qn(h) for h in hgens]
         found = _image_assignments(target, pool, pe, gen_q, gen_b)
-        sigmas = list(itertools.islice(found, limit))
-        if not sigmas:
-            return []
-        blocks.append((idxs, weights, sigmas))
-    out = []
-    for combo in itertools.product(*(sigmas for (_, _, sigmas) in blocks)):
-        cols = [target.zero() for _ in range(k)]
-        for (idxs, weights, _), sigma in zip(blocks, combo):
-            for i, c, image in zip(idxs, weights, sigma):
-                cols[i] = target.add(cols[i], target.scale(c, image))
-        out.append(tuple(cols))
-    return out
+        contributions = []
+        for sigma in itertools.islice(found, limit):
+            cols = [target.zero()] * k
+            for i, w, image in zip(idxs, weights, sigma):
+                cols[i] = image if w == 1 else target.scale(w, image)
+            contributions.append(tuple(zip(*cols)))
+        if not contributions:
+            return None
+        blocks.append(contributions)
+    return blocks
+
+
+def _stitch(blocks: list, orders: tuple):
+    """The reduced matrix of each tuple of one contribution matrix per
+    block, in the order of itertools.product (see _primary_blocks)."""
+    if len(blocks) == 1:
+        yield from blocks[0]
+        return
+    for combo in itertools.product(*blocks):
+        yield tuple(
+            tuple(sum(entries) % d for entries in zip(*rows))
+            for d, *rows in zip(orders, *combo)
+        )
+
+
+def _check_stitched(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrix: Matrix) -> None:
+    """Raise AssertionError unless the columns of matrix, the images of the
+    source generators, keep q and b; each column's pairing row is computed
+    once.  b(x, x) is q(x) mod 1 and b is symmetric, so the pairs i < j and
+    the q values are all of the b table."""
+    n = target._n
+    cols = tuple(zip(*matrix))
+    for j, col in enumerate(cols):
+        if target._qn(col) != source._q[j]:
+            raise AssertionError("the stitched images do not preserve q and b")
+        pairing = target._pairing(col)
+        wants = source._b[j]
+        for i in range(j):
+            if sum(map(operator.mul, pairing, cols[i])) % n != wants[i]:
+                raise AssertionError("the stitched images do not preserve q and b")
 
 
 def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: str = "primary") -> FqfSubgroup:
@@ -625,15 +669,34 @@ def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: s
     method="primary" enumerates each p-primary block and takes the product;
     method="direct" enumerates generator images on the whole group.  Both
     agree; the direct route exists as a cross-check.
+
+    The primary route certifies each element once, in the search that finds
+    it, and builds it with FqfIsometry._certified.  A block solution sigma
+    matched element orders, so it is a well-defined map on A_p, and it is
+    injective, so it is an automorphism of A_p; it matched q and every
+    pairwise b.  For one prime these are the checks of FqfIsometry.  With
+    several primes the element is the direct sum of its block automorphisms,
+    hence a well-defined automorphism of A, and it keeps q because the
+    p-parts are orthogonal; _check_stitched still asserts q and b of each
+    stitched element.  An element restricts to sigma on A_p, so distinct
+    tuples of block solutions give distinct elements (CRT); a repeat raises
+    AssertionError.
     """
     _check_budget(form.order(), budget)
     if method == "direct":
-        isos = _aut_direct(form)
+        elements = tuple(sorted(set(_aut_direct(form)), key=lambda iso: iso.matrix))
     elif method == "primary":
-        isos = [FqfIsometry.from_images(form, cols) for cols in _primary_images(form, form)]
+        blocks = _primary_blocks(form, form)
+        matrices = list(_stitch(blocks, form.orders))
+        if len(blocks) > 1:
+            for matrix in matrices:
+                _check_stitched(form, form, matrix)
+        matrices.sort()
+        if any(a == b for a, b in zip(matrices, matrices[1:])):
+            raise AssertionError("two tuples of block solutions gave one element")
+        elements = tuple(FqfIsometry._certified(form, matrix) for matrix in matrices)
     else:
         raise ValueError(f"unknown method {method!r}")
-    elements = tuple(sorted(set(isos), key=lambda iso: iso.matrix))
     return FqfSubgroup(form, elements, elements)
 
 
@@ -747,21 +810,18 @@ def fqf_isomorphism(source: FiniteQuadraticForm, target: FiniteQuadraticForm) ->
     """Matrix of an isomorphism (A_src, q) -> (A_tgt, q), or None.
 
     Column j holds the target coordinates of the image of source generator j.
-    The search runs per p-primary block (_primary_images), so for a group
+    The search runs per p-primary block (_primary_blocks), so for a group
     of one prime it is the whole-group search and its first witness.
     """
     if source.orders != target.orders:
         return None
-    found = _primary_images(source, target, limit=1)
-    if not found:
+    blocks = _primary_blocks(source, target, limit=1)
+    if blocks is None:
         return None
-    (cols,) = found
+    (matrix,) = _stitch(blocks, target.orders)
     # the p-parts are orthogonal, so the stitched images keep q and b
-    b_images = tuple(tuple(target._bn(x, y) for y in cols) for x in cols)
-    if tuple(map(target._qn, cols)) != source._q or b_images != source._b:
-        raise AssertionError("the stitched images do not preserve q and b")
-    k = len(cols)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    _check_stitched(source, target, matrix)
+    return matrix
 
 
 @dataclass(frozen=True)
