@@ -85,7 +85,7 @@ def _p_valuation(n: int, p: int) -> int:
 
 @functools.lru_cache(maxsize=1024)
 def _group_tables(orders: tuple) -> tuple:
-    """What isometry validation needs of the invariant factors alone.
+    """What form and isometry validation need of the invariant factors alone.
 
     need[i][j] = d_i / gcd(d_i, d_j) must divide entry (i, j) of an
     endomorphism; blocks lists (p, indices i with p | d_i) per prime p.
@@ -107,7 +107,7 @@ class FiniteQuadraticForm:
     residues (q_diag, b_mat), and stored as integer numerators over the
     exponent N: _q[i] = N q(g_i) mod 2N and _b[i][j] = N b(g_i, g_j) mod N.
     They are exact, because d_i q(g_i) and d_i b(g_i, g_j) are integers and
-    d_i | N.
+    d_i | N.  b is nondegenerate: b(x, y) = 0 for every y only when x = 0.
     """
 
     orders: tuple  # invariant factors > 1, ascending divisibility chain
@@ -144,6 +144,14 @@ class FiniteQuadraticForm:
         n = orders[-1] if orders else 1
         q_num = tuple(int(q * n) for q in q_diag)
         b_num = tuple(tuple(int(b * n) for b in row) for row in b_mat)
+        # A radical would hold an element of some prime order p.  Row i is
+        # p b((d_i/p) g_i, g_j) mod p, the pairing of the F_p-basis of the
+        # p-torsion with the generators (b(x, g_j) = 0 when p does not
+        # divide d_j), so b is nondegenerate iff no such matrix is singular.
+        for p, idxs in _group_tables(orders)[1]:
+            socle = tuple(tuple(orders[i] * b_num[i][j] // n for j in idxs) for i in idxs)
+            if intmat.det(socle) % p == 0:
+                raise LatticeError("b must be nondegenerate")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "_q", q_num)
         object.__setattr__(self, "_b", b_num)
@@ -337,6 +345,8 @@ class FqfIsometry:
     """Automorphism of a finite quadratic form, as a matrix on generators.
 
     Column j holds the image of generator g_j; row i is reduced mod d_i.
+    A well-defined endomorphism that keeps b is injective, because b is
+    nondegenerate, so it is an automorphism.
     """
 
     form: FiniteQuadraticForm
@@ -352,24 +362,13 @@ class FqfIsometry:
             tuple(self.matrix[i][j] % d[i] for j in range(k)) for i in range(k)
         )
         object.__setattr__(self, "matrix", reduced)
-        need, blocks = _group_tables(d)
+        need = _group_tables(d)[0]
         for row, need_row in zip(reduced, need):
             if any(entry % m for entry, m in zip(row, need_row)):
                 raise NotIsometry("matrix is not a well-defined endomorphism")
-        for p, idxs in blocks:
-            sub = tuple(tuple(reduced[i][j] for j in idxs) for i in idxs)
-            if intmat.det(sub) % p == 0:
-                raise NotIsometry("matrix is not invertible on the group")
-        n = form._n
-        cols = tuple(zip(*reduced))
-        for j, col in enumerate(cols):
-            if form._qn(col) != form._q[j]:
-                raise NotIsometry("matrix does not preserve q")
-            pairing = form._pairing(col)
-            wants = form._b[j]
-            for i in range(j):
-                if sum(map(operator.mul, pairing, cols[i])) % n != wants[i]:
-                    raise NotIsometry("matrix does not preserve b")
+        defect = _form_defect(form, form, reduced)
+        if defect:
+            raise NotIsometry(f"matrix does not preserve {defect}")
 
     def apply(self, x) -> tuple:
         d = self.form.orders
@@ -423,10 +422,9 @@ class FqfIsometry:
 
 @dataclass(frozen=True)
 class FqfSubgroup:
-    """Subgroup of O(A, q): generators plus the cached closure."""
+    """Subgroup of O(A, q), held as its elements."""
 
     form: FiniteQuadraticForm
-    generators: tuple
     elements: tuple  # closure, canonically sorted by matrix
 
     def order(self) -> int:
@@ -473,7 +471,7 @@ def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry]) -
                 found[y] = FqfIsometry(form, y)
                 queue.append(y)
     elements = tuple(found[m] for m in sorted(found))
-    return FqfSubgroup(form, gens, elements)
+    return FqfSubgroup(form, elements)
 
 
 def trivial_subgroup(form: FiniteQuadraticForm) -> FqfSubgroup:
@@ -492,53 +490,19 @@ def _span_elements(form: FiniteQuadraticForm, gens) -> set:
     return span
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of an integer matrix, by row reduction."""
-    rows = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] * inv % p
-            if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _is_injective(form, images, socle) -> bool:
-    """Whether generator i -> images[i] is injective on sum_i Z/e_i.
-
-    A kernel would contain an element of some prime order p, so it is enough
-    that the images of the order-p elements (e_i/p) g_i are independent over
-    F_p.  They lie in the p-torsion of `form`, whose coordinate j is a
-    multiple of d_j/p (and 0 unless p | d_j).  socle: (p, [(i, e_i/p)]).
-    """
-    d = form.orders
-    for p, gens in socle:
-        rows = [
-            [(c * images[i][j] % dj) // (dj // p) for j, dj in enumerate(d) if dj % p == 0]
-            for i, c in gens
-        ]
-        if _rank_mod_p(rows, p) < len(rows):
-            return False
-    return True
-
-
 def _image_assignments(form, pool, gen_orders, gen_q, gen_b):
-    """DFS over injective assignments of images to generators of orders
-    gen_orders, matching element order, q and pairwise b.
+    """DFS over assignments of images to generators of orders gen_orders,
+    matching element order, q and pairwise b.
 
     pool: candidate target elements (of `form`); gen_q[i] and gen_b[i][j] are
     the required q- and b-numerators over the exponent of `form` (N q mod 2N,
     N b mod N).  Yields image tuples in the lexicographic order of `pool`.
-    Callers pass as many generators as make up the group spanned by the
-    pool, so injective means bijective onto it.  Each candidate's pairing
-    row is computed once, as it enters its bucket.
+    Matched orders make each tuple a well-defined map on sum_i Z/e_i, and
+    matched b makes it keep b.  The generators span a nondegenerate form or
+    one of its p-parts, where b is nondegenerate too, so the map is
+    injective; callers pass as many generators as make up the group spanned
+    by the pool, so it is bijective onto it.  Each candidate's pairing row
+    is computed once, as it enters its bucket.
     """
     buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
     for x in pool:
@@ -546,21 +510,16 @@ def _image_assignments(form, pool, gen_orders, gen_q, gen_b):
         if bucket is not None:
             bucket.append((x, form._pairing(x)))
     candidates = [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
-    socle = [
-        (p, [(i, e // p) for i, e in enumerate(gen_orders) if e % p == 0])
-        for p in _prime_factors(functools.reduce(lcm, gen_orders, 1))
-    ]
-    return _place_images(form, candidates, gen_b, socle, [], [])
+    return _place_images(form, candidates, gen_b, [], [])
 
 
-def _place_images(form, candidates, gen_b, socle, images, pairings):
+def _place_images(form, candidates, gen_b, images, pairings):
     # A module-level generator, not a closure: a closure that calls itself
     # is a reference cycle, and it would keep `candidates` alive until the
     # cyclic collector runs.
     i = len(images)
     if i == len(candidates):
-        if _is_injective(form, images, socle):
-            yield tuple(images)
+        yield tuple(images)
         return
     n = form._n
     wants = gen_b[i]
@@ -571,7 +530,7 @@ def _place_images(form, candidates, gen_b, socle, images, pairings):
         else:
             images.append(x)
             pairings.append(row)
-            yield from _place_images(form, candidates, gen_b, socle, images, pairings)
+            yield from _place_images(form, candidates, gen_b, images, pairings)
             images.pop()
             pairings.pop()
 
@@ -646,21 +605,39 @@ def _stitch(blocks: list, orders: tuple):
         )
 
 
-def _check_stitched(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrix: Matrix) -> None:
-    """Raise AssertionError unless the columns of matrix, the images of the
-    source generators, keep q and b; each column's pairing row is computed
-    once.  b(x, x) is q(x) mod 1 and b is symmetric, so the pairs i < j and
-    the q values are all of the b table."""
+def _form_defect(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrix: Matrix) -> Optional[str]:
+    """The first value, "q" or "b", that the columns of matrix, the images
+    of the source generators in target, fail to keep; None when they keep
+    both.  Each column's pairing row is computed once.  b(x, x) is q(x) mod 1 and b is
+    symmetric, so the pairs i < j and the q values are all of the b table."""
     n = target._n
     cols = tuple(zip(*matrix))
     for j, col in enumerate(cols):
         if target._qn(col) != source._q[j]:
-            raise AssertionError("the stitched images do not preserve q and b")
+            return "q"
         pairing = target._pairing(col)
         wants = source._b[j]
         for i in range(j):
             if sum(map(operator.mul, pairing, cols[i])) % n != wants[i]:
-                raise AssertionError("the stitched images do not preserve q and b")
+                return "b"
+    return None
+
+
+def _isometries(source: FiniteQuadraticForm, target: FiniteQuadraticForm, limit=None) -> list:
+    """The reduced matrices of isometries source -> target of equal orders,
+    in the order of _stitch: all of them, or those built from up to `limit`
+    solutions per p-primary block; empty when there is none.
+
+    An element stitched from several blocks keeps q and b because the
+    p-parts are orthogonal; that is still asserted, element by element.
+    """
+    blocks = _primary_blocks(source, target, limit)
+    if blocks is None:
+        return []
+    matrices = list(_stitch(blocks, target.orders))
+    if len(blocks) > 1 and any(_form_defect(source, target, m) for m in matrices):
+        raise AssertionError("the stitched images do not preserve q and b")
+    return matrices
 
 
 def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: str = "primary") -> FqfSubgroup:
@@ -672,32 +649,27 @@ def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: s
 
     The primary route certifies each element once, in the search that finds
     it, and builds it with FqfIsometry._certified.  A block solution sigma
-    matched element orders, so it is a well-defined map on A_p, and it is
-    injective, so it is an automorphism of A_p; it matched q and every
-    pairwise b.  For one prime these are the checks of FqfIsometry.  With
-    several primes the element is the direct sum of its block automorphisms,
-    hence a well-defined automorphism of A, and it keeps q because the
-    p-parts are orthogonal; _check_stitched still asserts q and b of each
-    stitched element.  An element restricts to sigma on A_p, so distinct
-    tuples of block solutions give distinct elements (CRT); a repeat raises
-    AssertionError.
+    matched element orders, q and every pairwise b, so it is a well-defined
+    map on A_p that keeps b; b is nondegenerate, so sigma is injective and
+    an automorphism of A_p.  For one prime these are the checks of
+    FqfIsometry.  With several primes the element is the direct sum of its
+    block automorphisms, hence a well-defined automorphism of A, and it
+    keeps q because the p-parts are orthogonal; _isometries still asserts
+    q and b of each stitched element.  An element restricts to sigma on
+    A_p, so distinct tuples of block solutions give distinct elements
+    (CRT); a repeat raises AssertionError.
     """
     _check_budget(form.order(), budget)
     if method == "direct":
         elements = tuple(sorted(set(_aut_direct(form)), key=lambda iso: iso.matrix))
     elif method == "primary":
-        blocks = _primary_blocks(form, form)
-        matrices = list(_stitch(blocks, form.orders))
-        if len(blocks) > 1:
-            for matrix in matrices:
-                _check_stitched(form, form, matrix)
-        matrices.sort()
+        matrices = sorted(_isometries(form, form))
         if any(a == b for a, b in zip(matrices, matrices[1:])):
             raise AssertionError("two tuples of block solutions gave one element")
         elements = tuple(FqfIsometry._certified(form, matrix) for matrix in matrices)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return FqfSubgroup(form, elements, elements)
+    return FqfSubgroup(form, elements)
 
 
 def natural_map(lattice: EvenLattice, isometry) -> FqfIsometry:
@@ -815,13 +787,8 @@ def fqf_isomorphism(source: FiniteQuadraticForm, target: FiniteQuadraticForm) ->
     """
     if source.orders != target.orders:
         return None
-    blocks = _primary_blocks(source, target, limit=1)
-    if blocks is None:
-        return None
-    (matrix,) = _stitch(blocks, target.orders)
-    # the p-parts are orthogonal, so the stitched images keep q and b
-    _check_stitched(source, target, matrix)
-    return matrix
+    matrices = _isometries(source, target, limit=1)
+    return matrices[0] if matrices else None
 
 
 @dataclass(frozen=True)
@@ -942,4 +909,4 @@ def transport_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubg
         psi_g = _matmul_mod(psi, tuple(zip(*g.matrix)), orders)
         moved.append(FqfIsometry(target, _matmul_mod(psi_g, psi_inv_cols, orders)))
     elements = tuple(sorted(moved, key=lambda iso: iso.matrix))
-    return FqfSubgroup(target, elements, elements)
+    return FqfSubgroup(target, elements)

@@ -2,14 +2,12 @@
 
 Matrices are immutable tuples of int rows.  Everything here is exact:
 arbitrary-precision ints, no floating point anywhere.  Elimination is
-fraction-free; the only Fractions are the coordinates solve_rational
-returns, built once each at the end.
+fraction-free.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -142,16 +140,6 @@ def _solve(mat, rhs) -> Optional[list]:
         return None
     # full column rank: column c was pivoted in row c
     return [(a[c][cols], a[c][c]) for c in range(cols)]
-
-
-def solve_rational(mat, rhs) -> Optional[tuple]:
-    """Solve mat @ x = rhs exactly.
-
-    mat must have full column rank; returns a tuple of Fractions, or None
-    when the system is inconsistent.
-    """
-    sol = _solve(mat, rhs)
-    return None if sol is None else tuple(Fraction(n, d) for n, d in sol)
 
 
 def solve_integer(mat, rhs) -> Optional[tuple]:

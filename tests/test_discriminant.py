@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import U, classify, diag, random_even_lattice, sums
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspcount import intmat
 from cuspcount.discriminant import (
@@ -415,6 +417,34 @@ def _f(num, den=1):
     return Fraction(num, den)
 
 
+def _chains(bound, least=2):
+    """Divisibility chains d_1 | d_2 | ... with every d_i >= 2 and product <= bound."""
+    for d in range(least, bound + 1):
+        yield (d,)
+        for rest in _chains(bound // d, d):
+            if rest[0] % d == 0:
+                yield (d,) + rest
+
+
+@st.composite
+def consistent_tables(draw):
+    """Tables that pass every check of FiniteQuadraticForm but, possibly,
+    nondegeneracy: |A| <= 64, b(g_i, g_j) in (1/gcd(d_i, d_j))Z and q(g_i)
+    in b(g_i, g_i) + {0, 1} with d_i^2 q(g_i) even."""
+    orders = draw(st.sampled_from(sorted(_chains(64))))
+    k = len(orders)
+    b_mat = [[_f(0)] * k for _ in range(k)]
+    q_diag = []
+    for i, di in enumerate(orders):
+        for j in range(i, k):
+            b_mat[i][j] = b_mat[j][i] = _f(draw(st.integers(0, di - 1)), di)
+        t = b_mat[i][i] * di
+        # d_i^2 q = t d_i + e d_i^2 must be even
+        lift = draw(st.integers(0, 1)) if di % 2 == 0 else int(t) % 2
+        q_diag.append(b_mat[i][i] + lift)
+    return orders, tuple(q_diag), tuple(map(tuple, b_mat))
+
+
 class TestFormValidation:
     """Each rejection branch of the FiniteQuadraticForm constructor."""
 
@@ -434,10 +464,29 @@ class TestFormValidation:
             ((2, 2), (_f(0), _f(0)), ((_f(0), _f(1, 2)), (_f(0), _f(0))), "symmetric"),
             ((2, 2), (_f(0), _f(0)), ((_f(0), _f(1)), (_f(1), _f(0))), "symmetric"),
             ((2, 2), (_f(0), _f(0)), ((_f(0), _f(1, 4)), (_f(1, 4), _f(0))), "incompatible with the generator orders"),
+            # consistent tables with a radical, which holds g1, g1, g1 and g2
+            ((2, 2), (_f(0), _f(0)), ((_f(0), _f(0)), (_f(0), _f(0))), "nondegenerate"),
+            ((2, 2, 2), (_f(0), _f(0), _f(1)), ((_f(0),) * 3,) * 3, "nondegenerate"),
+            ((2, 4), (_f(0), _f(1, 2)), ((_f(0), _f(0)), (_f(0), _f(1, 2))), "nondegenerate"),
+            ((3, 3), (_f(2, 3), _f(0)), ((_f(2, 3), _f(0)), (_f(0), _f(0))), "nondegenerate"),
         ],
     )
     def test_rejects(self, orders, q_diag, b_mat, message):
         with pytest.raises(LatticeError, match=message):
+            FiniteQuadraticForm(orders, q_diag, b_mat)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(consistent_tables())
+    def test_accepts_exactly_the_tables_without_radical(self, table):
+        orders, q_diag, b_mat = table
+        has_radical = any(
+            any(x) and all(sum(c * row[j] for c, row in zip(x, b_mat)) % 1 == 0 for j in range(len(orders)))
+            for x in itertools.product(*(range(d) for d in orders))
+        )
+        if has_radical:
+            with pytest.raises(LatticeError, match="nondegenerate"):
+                FiniteQuadraticForm(orders, q_diag, b_mat)
+        else:
             FiniteQuadraticForm(orders, q_diag, b_mat)
 
     def test_accepts_discriminant_tables(self):
@@ -457,8 +506,9 @@ class TestIsometryValidation:
             (U(3), ((1,), (0,)), "wrong shape"),
             # orders (2, 4): the image of the order-2 generator must be 2-torsion
             (diag(-2, -4), ((1, 0), (1, 1)), "not a well-defined endomorphism"),
-            (U(3), ((1, 0), (0, 0)), "not invertible on the group"),
-            (U(6), ((1, 0), (0, 2)), "not invertible on the group"),
+            # not injective; b is nondegenerate, so b is not kept either
+            (U(3), ((1, 0), (0, 0)), "does not preserve b"),
+            (U(6), ((1, 0), (0, 2)), "does not preserve b"),
             # g1 -> g1 + g2 has q = 2/3, but q(g1) = 0
             (U(3), ((1, 0), (1, 1)), "does not preserve q"),
             # q is kept on both columns, but b(g2', g1') = 2/3 != 1/3
@@ -490,18 +540,22 @@ def _brute_force_aut_order(form):
     return count
 
 
-class TestAutGroupOnDegenerateForms:
-    """Forms with a radical, where preserving b does not force injectivity:
-    the search must reject the non-injective image tuples itself."""
+class TestAutGroupOnHandBuiltForms:
+    """Forms built from tables, not from a lattice.  FqfIsometry checks only
+    that a matrix is a well-defined endomorphism that keeps q and b; with b
+    nondegenerate that accepts exactly O(A, q), and both routes find it."""
 
     @pytest.mark.parametrize(
         "orders, q_diag, b_rows",
         [
-            ((2, 2), (0, 0), ((0, 0), (0, 0))),
-            ((2, 2, 2), (0, 0, 1), ((0, 0, 0), (0, 0, 0), (0, 0, 0))),
-            ((2, 4), (0, _f(1, 2)), ((0, 0), (0, _f(1, 2)))),
-            ((3, 3), (_f(2, 3), 0), ((_f(2, 3), 0), (0, 0))),
+            ((2, 2), (0, 0), ((0, _f(1, 2)), (_f(1, 2), 0))),
+            ((2, 2), (1, 1), ((0, _f(1, 2)), (_f(1, 2), 0))),
+            ((2, 4), (_f(3, 2), _f(1, 4)), ((_f(1, 2), 0), (0, _f(1, 4)))),
+            ((3, 3), (_f(2, 3), _f(4, 3)), ((_f(2, 3), 0), (0, _f(1, 3)))),
+            ((2, 2, 2), (_f(1, 2),) * 3, ((_f(1, 2), 0, 0), (0, _f(1, 2), 0), (0, 0, _f(1, 2)))),
+            ((4,), (_f(1, 4),), ((_f(1, 4),),)),
         ],
+        ids=["U2", "2x2-q11", "2x4", "3x3", "half-cubed", "quarter"],
     )
     def test_both_routes_match_brute_force(self, orders, q_diag, b_rows):
         form = FiniteQuadraticForm(

@@ -83,7 +83,7 @@ def test_solve_integer():
     mat = intmat.freeze([[2, 0], [0, 3], [1, 1]])
     assert intmat.solve_integer(mat, (4, 9, 5)) == (2, 3)
     assert intmat.solve_integer(mat, (4, 9, 6)) is None
-    assert intmat.solve_rational(((2,),), (1,)) == (Fraction(1, 2),)
+    assert intmat._solve(((2,),), (1,)) == [(1, 2)]
 
 
 class _ReferenceWorker(intmat._Transformed):

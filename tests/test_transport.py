@@ -40,7 +40,7 @@ def reference_transport(sub, iso_matrix, target) -> FqfSubgroup:
         for iso in sub.elements
     }
     elements = tuple(sorted(moved, key=lambda iso: iso.matrix))
-    return FqfSubgroup(target, elements, elements)
+    return FqfSubgroup(target, elements)
 
 
 def _rebased(lattice, rng):
