@@ -2,10 +2,11 @@
 
 The discriminant group of an even lattice L is carried on the invariant
 factors of its Gram matrix: generators g_i of order d_i (d_1 | d_2 | ...),
-q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z.  A form is built and read through
-exact Fractions in canonical residues (q in [0,2), b in [0,1)); inside it
-holds integer numerators over the exponent N, q * N mod 2N and b * N mod N,
-and every enumeration and validation loop works on those integers.
+q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z.  A form is read, and built by hand,
+through exact Fractions in canonical residues (q in [0,2), b in [0,1));
+inside it holds integer numerators over the exponent N, q * N mod 2N and
+b * N mod N.  The discriminant form of a lattice is computed in those
+integers, and every validation, enumeration and search loop works on them.
 """
 
 from __future__ import annotations
@@ -103,11 +104,12 @@ def _group_tables(orders: tuple) -> tuple:
 class FiniteQuadraticForm:
     """Finite abelian group with q: A -> Q/2Z and b: A x A -> Q/Z.
 
-    It is built from, and read back as, exact Fractions in canonical
-    residues (q_diag, b_mat), and stored as integer numerators over the
-    exponent N: _q[i] = N q(g_i) mod 2N and _b[i][j] = N b(g_i, g_j) mod N.
-    They are exact, because d_i q(g_i) and d_i b(g_i, g_j) are integers and
-    d_i | N.  b is nondegenerate: b(x, y) = 0 for every y only when x = 0.
+    It is built from exact Fractions in canonical residues (q_diag, b_mat),
+    or from integer numerators (_from_numerators), read back as Fractions,
+    and stored as integer numerators over the exponent N: _q[i] = N q(g_i)
+    mod 2N and _b[i][j] = N b(g_i, g_j) mod N.  They are exact, because
+    d_i q(g_i) and d_i b(g_i, g_j) are integers and d_i | N.  b is
+    nondegenerate: b(x, y) = 0 for every y only when x = 0.
     """
 
     orders: tuple  # invariant factors > 1, ascending divisibility chain
@@ -115,35 +117,57 @@ class FiniteQuadraticForm:
     _b: tuple  # N b(g_i, g_j) in [0, N) per generator pair; _b[i][i] == _q[i] mod N
 
     def __init__(self, orders, q_diag, b_mat):
-        """q_diag: q(g_i) in [0, 2); b_mat: b(g_i, g_j) in [0, 1); both exact."""
+        """q_diag: q(g_i) in [0, 2); b_mat: b(g_i, g_j) in [0, 1); both exact.
+
+        They are validated as numerators over L = lcm(exponent, every
+        denominator), over which each value is an exact integer."""
         orders = tuple(orders)
+        values = [*q_diag, *(b for row in b_mat for b in row)]
+        denom = lcm(orders[-1] if orders else 1, *(Fraction(v).denominator for v in values))
+        q_num = tuple(int(Fraction(q) * denom) for q in q_diag)
+        b_num = tuple(tuple(int(Fraction(b) * denom) for b in row) for row in b_mat)
+        self._validate(orders, q_num, b_num, denom)
+
+    @classmethod
+    def _from_numerators(cls, orders, q_num, b_num, denom) -> "FiniteQuadraticForm":
+        """The form with q(g_i) = q_num[i] / denom and b(g_i, g_j) =
+        b_num[i][j] / denom, through the same validation as the constructor."""
+        form = object.__new__(cls)
+        form._validate(tuple(orders), q_num, b_num, denom)
+        return form
+
+    def _validate(self, orders, q_num, b_num, denom) -> None:
+        """Check the numerator tables over denom and store them over the
+        exponent N, which divides denom: each check is the Fraction check
+        q in [0, 2), d_i^2 q in 2Z, b in [0, 1), ... multiplied by denom."""
         k = len(orders)
         for i in range(k - 1):
             if orders[i + 1] % orders[i] != 0:
                 raise LatticeError("invariant factors must form a divisibility chain")
         if any(d < 2 for d in orders):
             raise LatticeError("invariant factors must be > 1")
-        if len(q_diag) != k or len(b_mat) != k:
+        if len(q_num) != k or len(b_num) != k:
             raise LatticeError("q/b tables do not match the generator count")
         for i in range(k):
-            qi = q_diag[i]
-            if not (0 <= qi < 2):
+            qi = q_num[i]
+            if not (0 <= qi < 2 * denom):
                 raise LatticeError("q values must be canonical residues in [0, 2)")
-            if (qi * orders[i] ** 2) % 2 != 0:
+            if (qi * orders[i] ** 2) % (2 * denom) != 0:
                 raise LatticeError("q value incompatible with the generator order")
-            if len(b_mat[i]) != k:
+            if len(b_num[i]) != k:
                 raise LatticeError("b matrix is not square")
-            if b_mat[i][i] != qi % 1:
+            if b_num[i][i] != qi % denom:
                 raise LatticeError("b(g,g) must reduce q(g) mod 1")
             for j in range(k):
-                bij = b_mat[i][j]
-                if not (0 <= bij < 1) or bij != b_mat[j][i]:
+                bij = b_num[i][j]
+                if not (0 <= bij < denom) or bij != b_num[j][i]:
                     raise LatticeError("b must be symmetric with residues in [0, 1)")
-                if (bij * orders[i]) % 1 != 0 or (bij * orders[j]) % 1 != 0:
+                if (bij * orders[i]) % denom != 0 or (bij * orders[j]) % denom != 0:
                     raise LatticeError("b value incompatible with the generator orders")
         n = orders[-1] if orders else 1
-        q_num = tuple(int(q * n) for q in q_diag)
-        b_num = tuple(tuple(int(b * n) for b in row) for row in b_mat)
+        # exact: d_i q(g_i) and d_i b(g_i, g_j) are integers and d_i | N
+        q_num = tuple(q * n // denom for q in q_num)
+        b_num = tuple(tuple(b * n // denom for b in row) for row in b_num)
         # A radical would hold an element of some prime order p.  Row i is
         # p b((d_i/p) g_i, g_j) mod p, the pairing of the F_p-basis of the
         # p-torsion with the generators (b(x, g_j) = 0 when p does not
@@ -156,6 +180,7 @@ class FiniteQuadraticForm:
         object.__setattr__(self, "_q", q_num)
         object.__setattr__(self, "_b", b_num)
         object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_q_high", tuple(i for i in range(k) if q_num[i] >= n))
         # isometries hash their form on every set insertion
         object.__setattr__(self, "_hash", hash((orders, q_num, b_num)))
 
@@ -235,15 +260,26 @@ class FiniteQuadraticForm:
         """The integer row x^T B, so that N * b(x, y) = x^T B y mod N."""
         return tuple(sum(map(operator.mul, x, row)) for row in self._b)
 
+    def _qn_paired(self, x, pairing) -> int:
+        """N * q(x) mod 2N from x and its pairing row, which is x^T B x +
+        N * sum of x_i over the i with _q[i] >= N: _q[i] is _b[i][i] or
+        _b[i][i] + N, and N x_i^2 = N x_i mod 2N."""
+        total = sum(map(operator.mul, x, pairing))
+        for i in self._q_high:
+            total += self._n * x[i]
+        return total % (2 * self._n)
+
     def _bn(self, x, y) -> int:
         """N * b(x, y) mod N."""
         return sum(map(operator.mul, self._pairing(x), y)) % self._n
 
     def negated(self) -> "FiniteQuadraticForm":
-        return FiniteQuadraticForm(
+        n = self._n
+        return FiniteQuadraticForm._from_numerators(
             self.orders,
-            tuple((-q) % 2 for q in self.q_diag),
-            tuple(tuple((-b) % 1 for b in row) for row in self.b_mat),
+            tuple((-q) % (2 * n) for q in self._q),
+            tuple(tuple((-b) % n for b in row) for row in self._b),
+            n,
         )
 
     @staticmethod
@@ -284,23 +320,30 @@ class _DiscData:
 
 @functools.lru_cache(maxsize=256)
 def _disc_data(lattice: EvenLattice) -> _DiscData:
+    """The generators are g_a = v_a / d_a, for the columns v_a of V with
+    U G V = diag(d).  With w_a = G v_a, N q(g_a) = N (w_a . v_a) / d_a^2 mod
+    2N and N b(g_a, g_b) = N (w_a . v_b) / (d_a d_b) mod N, all in integers."""
     n = lattice.rank
     u, _, d, v, _ = intmat.snf_transforms(lattice.gram) if n else ((), (), (), (), ())
     dvec = tuple(d[i][i] for i in range(n))
     keep = tuple(i for i in range(n) if dvec[i] != 1)
     cols = intmat.columns(v) if n else []
     lifts = [cols[i] for i in keep]
-    dkeep = [dvec[i] for i in keep]
-    q_diag = []
+    dkeep = tuple(dvec[i] for i in keep)
+    exponent = dkeep[-1] if dkeep else 1
+    images = [intmat.matvec(lattice.gram, va) for va in lifts]
     b_rows = []
-    for a, (va, da) in enumerate(zip(lifts, dkeep)):
-        qa = Fraction(lattice.pair(va, va), da * da) % 2
-        q_diag.append(qa)
+    for wa, da in zip(images, dkeep):
         row = []
         for vb, db in zip(lifts, dkeep):
-            row.append(Fraction(lattice.pair(va, vb), da * db) % 1)
-        b_rows.append(tuple(row))
-    form = FiniteQuadraticForm(tuple(dkeep), tuple(q_diag), tuple(b_rows))
+            num, rest = divmod(exponent * sum(map(operator.mul, wa, vb)), da * db)
+            if rest:
+                raise AssertionError("a discriminant-form numerator is not an integer")
+            row.append(num)
+        b_rows.append(row)
+    q_num = tuple(row[a] % (2 * exponent) for a, row in enumerate(b_rows))
+    b_num = tuple(tuple(val % exponent for val in row) for row in b_rows)
+    form = FiniteQuadraticForm._from_numerators(dkeep, q_num, b_num, exponent)
     if form.order() != abs(lattice.det()):
         raise AssertionError("discriminant group order must equal |det|")
     return _DiscData(lattice, form, dvec, keep, u, v)
@@ -435,10 +478,11 @@ class FqfSubgroup:
 
     @functools.cached_property
     def _members(self) -> frozenset:
-        return frozenset(self.elements)
+        """The reduced matrices of the elements, which share self.form."""
+        return frozenset(iso.matrix for iso in self.elements)
 
     def __contains__(self, iso: FqfIsometry) -> bool:
-        return iso in self._members
+        return iso.form == self.form and iso.matrix in self._members
 
     def is_subgroup_of(self, other: "FqfSubgroup") -> bool:
         return self.form == other.form and self._members <= other._members
@@ -501,38 +545,48 @@ def _image_assignments(form, pool, gen_orders, gen_q, gen_b):
     matched b makes it keep b.  The generators span a nondegenerate form or
     one of its p-parts, where b is nondegenerate too, so the map is
     injective; callers pass as many generators as make up the group spanned
-    by the pool, so it is bijective onto it.  Each candidate's pairing row
-    is computed once, as it enters its bucket.
+    by the pool, so it is bijective onto it.  Each pool element's pairing
+    row is computed once; it gives the element's q, and its bucket keeps it.
     """
     buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
     for x in pool:
-        bucket = buckets.get((form.element_order(x), form._qn(x)))
+        pairing = form._pairing(x)
+        bucket = buckets.get((form.element_order(x), form._qn_paired(x, pairing)))
         if bucket is not None:
-            bucket.append((x, form._pairing(x)))
+            bucket.append((x, pairing))
     candidates = [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
-    return _place_images(form, candidates, gen_b, [], [])
+    return _place_images(form._n, candidates, gen_b, [])
 
 
-def _place_images(form, candidates, gen_b, images, pairings):
+def _place_images(n, candidates, gen_b, images):
+    """Forward checking: candidates[0] lists the images left for generator
+    i = len(images), each already paired correctly with images 0..i-1, and
+    candidates[1:] those of the later generators.  Placing x filters every
+    later list, in order, by b(c, x) = gen_b[j][i] through x's pairing row,
+    and cuts the branch when one comes out empty.  So a candidate is tried
+    exactly when it pairs correctly with every earlier image, and the
+    tuples come out in the lexicographic order of the lists.
+    """
     # A module-level generator, not a closure: a closure that calls itself
     # is a reference cycle, and it would keep `candidates` alive until the
     # cyclic collector runs.
-    i = len(images)
-    if i == len(candidates):
+    if not candidates:
         yield tuple(images)
         return
-    n = form._n
-    wants = gen_b[i]
-    for x, row in candidates[i]:
-        for pairing, want in zip(pairings, wants):
-            if sum(map(operator.mul, x, pairing)) % n != want:
+    i = len(images)
+    later = candidates[1:]
+    wants = [gen_b[j][i] for j in range(i + 1, i + 1 + len(later))]
+    for x, row in candidates[0]:
+        narrowed = []
+        for pool, want in zip(later, wants):
+            kept = [c for c in pool if sum(map(operator.mul, c[0], row)) % n == want]
+            if not kept:
                 break
+            narrowed.append(kept)
         else:
             images.append(x)
-            pairings.append(row)
-            yield from _place_images(form, candidates, gen_b, images, pairings)
+            yield from _place_images(n, narrowed, gen_b, images)
             images.pop()
-            pairings.pop()
 
 
 def _aut_direct(form: FiniteQuadraticForm) -> list:
@@ -571,12 +625,14 @@ def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm, li
         pe = [p ** _p_valuation(orders[i], p) for i in idxs]
         hgens = []
         weights = []
+        axes = [(0,)] * k  # the span of the h_i: the multiples of d_i / p^v in coordinate i
         for i, q in zip(idxs, pe):
             coords = [0] * k
             coords[i] = orders[i] // q
             hgens.append(tuple(coords))
             weights.append((idem % orders[i]) // (orders[i] // q))
-        pool = sorted(_span_elements(target, hgens))
+            axes[i] = range(0, orders[i], orders[i] // q)
+        pool = list(itertools.product(*axes))  # sorted, as each axis is
         gen_b = [[source._bn(g, h) for h in hgens] for g in hgens]
         gen_q = [source._qn(h) for h in hgens]
         found = _image_assignments(target, pool, pe, gen_q, gen_b)
@@ -608,14 +664,15 @@ def _stitch(blocks: list, orders: tuple):
 def _form_defect(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrix: Matrix) -> Optional[str]:
     """The first value, "q" or "b", that the columns of matrix, the images
     of the source generators in target, fail to keep; None when they keep
-    both.  Each column's pairing row is computed once.  b(x, x) is q(x) mod 1 and b is
-    symmetric, so the pairs i < j and the q values are all of the b table."""
+    both.  Each column's pairing row is computed once, and gives its q too
+    (_qn_paired).  b(x, x) is q(x) mod 1 and b is symmetric, so the pairs
+    i < j and the q values are all of the b table."""
     n = target._n
     cols = tuple(zip(*matrix))
     for j, col in enumerate(cols):
-        if target._qn(col) != source._q[j]:
-            return "q"
         pairing = target._pairing(col)
+        if target._qn_paired(col, pairing) != source._q[j]:
+            return "q"
         wants = source._b[j]
         for i in range(j):
             if sum(map(operator.mul, pairing, cols[i])) % n != wants[i]:

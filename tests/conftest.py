@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -5,6 +6,8 @@ from math import lcm
 import pytest
 
 from cuspcount import intmat
+from cuspcount.discriminant import _group_tables
+from cuspcount.errors import LatticeError
 from cuspcount.lattices import direct_sum, make_lattice, named_lattice
 
 
@@ -146,3 +149,95 @@ def random_even_lattice(rng, rank, entry_bound=20):
                 g[i][j] = g[j][i] = rng.randint(-entry_bound, entry_bound)
         if det_oracle(g) != 0:
             return make_lattice(g)
+
+
+# --- references for the O(A, q) search and the form constructor -------------
+
+
+def reference_image_assignments(form, pool, gen_orders, gen_q, gen_b) -> list:
+    """The block search checked node by node: candidates bucketed by element
+    order and form._qn, and each candidate tested at its node against the
+    pairing row of every image placed before it."""
+    buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
+    for x in pool:
+        bucket = buckets.get((form.element_order(x), form._qn(x)))
+        if bucket is not None:
+            bucket.append((x, form._pairing(x)))
+    candidates = [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
+    return list(reference_place_images(form._n, candidates, gen_b, [], []))
+
+
+def reference_place_images(n, candidates, gen_b, images, pairings):
+    i = len(images)
+    if i == len(candidates):
+        yield tuple(images)
+        return
+    wants = gen_b[i]
+    for x, row in candidates[i]:
+        for pairing, want in zip(pairings, wants):
+            if sum(map(operator.mul, x, pairing)) % n != want:
+                break
+        else:
+            images.append(x)
+            pairings.append(row)
+            yield from reference_place_images(n, candidates, gen_b, images, pairings)
+            images.pop()
+            pairings.pop()
+
+
+def reference_form_tables(lattice) -> tuple:
+    """(orders, q_diag, b_mat) of the discriminant form, in Fractions: g_a =
+    v_a / d_a for the columns v_a of V with U G V = diag(d) and d_a > 1."""
+    n = lattice.rank
+    if not n:
+        return (), (), ()
+    _, _, d, v, _ = intmat.snf_transforms(lattice.gram)
+    keep = [i for i in range(n) if d[i][i] != 1]
+    cols = intmat.columns(v)
+    lifts = [cols[i] for i in keep]
+    dkeep = [d[i][i] for i in keep]
+    q_diag = tuple(Fraction(lattice.pair(va, va), da * da) % 2 for va, da in zip(lifts, dkeep))
+    b_mat = tuple(
+        tuple(Fraction(lattice.pair(va, vb), da * db) % 1 for vb, db in zip(lifts, dkeep))
+        for va, da in zip(lifts, dkeep)
+    )
+    return tuple(dkeep), q_diag, b_mat
+
+
+def reference_validate(orders, q_diag, b_mat) -> tuple:
+    """The Fraction checks of a q/b table, in order, each raising its
+    LatticeError; on success the numerators over the exponent N, N q(g_i)
+    and N b(g_i, g_j)."""
+    orders = tuple(orders)
+    k = len(orders)
+    for i in range(k - 1):
+        if orders[i + 1] % orders[i] != 0:
+            raise LatticeError("invariant factors must form a divisibility chain")
+    if any(d < 2 for d in orders):
+        raise LatticeError("invariant factors must be > 1")
+    if len(q_diag) != k or len(b_mat) != k:
+        raise LatticeError("q/b tables do not match the generator count")
+    for i in range(k):
+        qi = q_diag[i]
+        if not (0 <= qi < 2):
+            raise LatticeError("q values must be canonical residues in [0, 2)")
+        if (qi * orders[i] ** 2) % 2 != 0:
+            raise LatticeError("q value incompatible with the generator order")
+        if len(b_mat[i]) != k:
+            raise LatticeError("b matrix is not square")
+        if b_mat[i][i] != qi % 1:
+            raise LatticeError("b(g,g) must reduce q(g) mod 1")
+        for j in range(k):
+            bij = b_mat[i][j]
+            if not (0 <= bij < 1) or bij != b_mat[j][i]:
+                raise LatticeError("b must be symmetric with residues in [0, 1)")
+            if (bij * orders[i]) % 1 != 0 or (bij * orders[j]) % 1 != 0:
+                raise LatticeError("b value incompatible with the generator orders")
+    n = orders[-1] if orders else 1
+    q_num = tuple(int(q * n) for q in q_diag)
+    b_num = tuple(tuple(int(b * n) for b in row) for row in b_mat)
+    for p, idxs in _group_tables(orders)[1]:
+        socle = tuple(tuple(orders[i] * b_num[i][j] // n for j in idxs) for i in idxs)
+        if intmat.det(socle) % p == 0:
+            raise LatticeError("b must be nondegenerate")
+    return q_num, b_num
