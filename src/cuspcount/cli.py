@@ -234,6 +234,8 @@ def _cmd_isogenus(args) -> dict:
 
 
 def _cmd_isotropic(args, lattice) -> dict:
+    if args.div is not None and args.div < 1:
+        raise BadParams(f"the divisor must be at least 1, got {args.div}")
     vectors = enumerate_isotropic(lattice, args.bound)
     if args.div is not None:
         vectors = [iv for iv in vectors if iv.divisor == args.div]

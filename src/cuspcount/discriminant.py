@@ -222,9 +222,6 @@ class FiniteQuadraticForm:
     def add(self, x, y) -> tuple:
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
-    def neg(self, x) -> tuple:
-        return tuple((-a) % d for a, d in zip(x, self.orders))
-
     def scale(self, c, x) -> tuple:
         return tuple((c * a) % d for a, d in zip(x, self.orders))
 
@@ -617,11 +614,10 @@ def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm, li
     exponent = source.exponent()
     orders = source.orders
     blocks = []
-    for p in _prime_factors(exponent):
+    for p, idxs in _group_tables(orders)[1]:
         pe_n = p ** _p_valuation(exponent, p)
         m = exponent // pe_n
         idem = m * pow(m, -1, pe_n)
-        idxs = [i for i in range(k) if orders[i] % p == 0]
         pe = [p ** _p_valuation(orders[i], p) for i in idxs]
         hgens = []
         weights = []
@@ -920,7 +916,7 @@ def _double_coset_sweep(left: FqfSubgroup, ambient: FqfSubgroup, right: FqfSubgr
     AssertionError.
     """
     orders = ambient.form.orders
-    members = {iso.matrix for iso in ambient.elements}
+    members = ambient._members
     lefts = [l.matrix for l in left.elements]
     rights = [tuple(zip(*r.matrix)) for r in right.elements]
     visited = set()

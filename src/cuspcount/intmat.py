@@ -2,7 +2,11 @@
 
 Matrices are immutable tuples of int rows.  Everything here is exact:
 arbitrary-precision ints, no floating point anywhere.  Elimination is
-fraction-free.
+fraction-free.  det is Bareiss elimination.  The row Hermite form hnf_rows
+answers kernel, solve, inverse, rank (len(hnf_rows(mat))) and primitivity
+(the k columns of mat span a primitive sublattice exactly when
+hnf_rows(mat) == identity(k)).  snf_transforms, the Smith form, serves only
+the callers that read its transforms U or V.
 """
 
 from __future__ import annotations
@@ -105,64 +109,40 @@ def det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _solve(mat, rhs) -> Optional[list]:
-    """Fraction-free Gauss-Jordan elimination of mat @ x = rhs.
+def solve_integer(mat, rhs) -> Optional[tuple]:
+    """Integer solution of mat @ x = rhs (full column rank), else None.
 
-    Returns (numerator, denominator) per coordinate, or None when the
-    system is inconsistent.  Each row is an int multiple of the row that
-    rational Gauss-Jordan would hold, so the pivots and the consistency
-    test are the same; every new row is divided by its content.
+    The kernel of [mat | -rhs] holds the (x, t) with mat x = t rhs.  Full
+    column rank makes it 0 or spanned by one primitive (x, t) with t != 0,
+    and x t is the integer solution exactly when |t| = 1.
     """
     rows, cols = shape(mat)
     if len(rhs) != rows:
         raise ValueError("rhs length mismatch")
-    a = [list(mat[i]) + [rhs[i]] for i in range(rows)]
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        top = a[r]
-        p = top[c]
-        for i in range(rows):
-            f = a[i][c]
-            if i != r and f != 0:
-                row = [p * x - f * y for x, y in zip(a[i], top)]
-                g = gcd(*row)
-                a[i] = [x // g for x in row] if g > 1 else row
-        r += 1
-        if r == rows:
-            break
-    if r < cols:
+    kernel = _kernel_rows(transpose(mat) + (tuple(-b for b in rhs),), rows)
+    if len(kernel) > 1 or (kernel and kernel[0][-1] == 0):
         raise ValueError("matrix does not have full column rank")
-    if any(a[i][cols] != 0 for i in range(r, rows)):
+    if not kernel or abs(kernel[0][-1]) != 1:
         return None
-    # full column rank: column c was pivoted in row c
-    return [(a[c][cols], a[c][c]) for c in range(cols)]
-
-
-def solve_integer(mat, rhs) -> Optional[tuple]:
-    """Integer solution of mat @ x = rhs (full column rank), else None."""
-    sol = _solve(mat, rhs)
-    if sol is None or any(n % d for n, d in sol):
-        return None
-    return tuple(n // d for n, d in sol)
+    *x, t = kernel[0]
+    return tuple(t * c for c in x)
 
 
 def inv_unimodular(mat) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix.
+
+    The row HNF of [mat | I] is [H | W] with W mat = H.  A zero row of H
+    means mat is singular; else mat is unimodular iff H = I, and W inverts it.
+    """
     n, m = shape(mat)
     if n != m:
         raise ValueError("inverse needs a square matrix")
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        col = solve_integer(mat, e)
-        if col is None:
-            raise ValueError("matrix is not unimodular")
-        cols.append(col)
-    return from_columns(cols)
+    hnf = hnf_rows([tuple(row) + unit for row, unit in zip(mat, identity(n))])
+    if any(not any(row[:n]) for row in hnf):
+        raise ValueError("matrix does not have full column rank")
+    if any(row[:n] != unit for row, unit in zip(hnf, identity(n))):
+        raise ValueError("matrix is not unimodular")
+    return tuple(row[n:] for row in hnf)
 
 
 class _Transformed:
@@ -296,25 +276,10 @@ def snf_transforms(mat):
     return u, uinv, d, v, vinv
 
 
-def smith_diagonal(mat) -> tuple:
-    _, _, d, _, _ = snf_transforms(mat)
-    rows, cols = shape(d)
-    return tuple(d[i][i] for i in range(min(rows, cols)))
-
-
 def kernel_basis(mat) -> Matrix:
-    """Columns spanning the full integer kernel of mat (saturated), HNF-canonical.
-
-    The rows of [mat^T | I] span the pairs (mat x, x) for x in Z^cols.  In
-    the row HNF of that lattice the rows that vanish on the mat^T part span
-    exactly the pairs (0, x) with mat x = 0, and they are themselves in row
-    HNF, which is unique: their right parts are the kernel basis.
-    """
+    """Columns spanning the full integer kernel of mat (saturated), HNF-canonical."""
     rows, cols = shape(mat)
-    if cols == 0:
-        return ()
-    stacked = [row + unit for row, unit in zip(transpose(mat), identity(cols))]
-    canon = [row[rows:] for row in hnf_rows(stacked) if not any(row[:rows])]
+    canon = _kernel_rows(transpose(mat), rows)
     if not canon:
         return tuple(() for _ in range(cols))
     basis = transpose(canon)
@@ -322,6 +287,18 @@ def kernel_basis(mat) -> Matrix:
         if any(matvec(mat, col)):
             raise AssertionError("kernel basis check failed")
     return basis
+
+
+def _kernel_rows(lefts, width: int) -> list:
+    """Row HNF of the x with x @ lefts = 0, for rows `lefts` of that width.
+
+    The rows of [lefts | I] span the pairs (x @ lefts, x).  In the row HNF
+    of that lattice the rows that vanish on the lefts part span exactly the
+    pairs (0, x) with x @ lefts = 0, and they are themselves in row HNF,
+    which is unique: their right parts are the answer.
+    """
+    stacked = [left + unit for left, unit in zip(lefts, identity(len(lefts)))]
+    return [row[width:] for row in hnf_rows(stacked) if not any(row[:width])]
 
 
 def hnf_rows(mat) -> Matrix:

@@ -59,9 +59,7 @@ class IsotropicPlane:
         L = self.lattice
         if L.norm(v1) != 0 or L.norm(v2) != 0 or L.pair(v1, v2) != 0:
             raise NotIsotropicPlane("basis vectors do not span an isotropic plane")
-        cols = intmat.from_columns([v1, v2])
-        diag = intmat.smith_diagonal(cols)
-        if len(diag) != 2 or diag != (1, 1):
+        if intmat.hnf_rows(intmat.from_columns([v1, v2])) != intmat.identity(2):
             raise NotIsotropicPlane("the span is not a primitive rank-2 sublattice")
 
 
@@ -81,15 +79,9 @@ class HyperbolicSplit:
 
     def in_complement(self, v) -> Optional[tuple]:
         """Complement coordinates of an ambient vector, or None."""
-        if all(x == 0 for x in v):
-            return (0,) * self.complement.rank
-        if self.complement.rank == 0:
-            return None
         return intmat.solve_integer(self.complement_columns, v)
 
     def to_ambient(self, comp_coords) -> tuple:
-        if self.complement.rank == 0:
-            return (0,) * self.lattice.rank
         return intmat.matvec(self.complement_columns, comp_coords)
 
 
@@ -312,9 +304,7 @@ def stabilizer_decompose(split: HyperbolicSplit, g: LatticeIsometry):
     w = tuple(conj[2 + i][1] for i in range(k))
     h_mat = tuple(tuple(conj[2 + i][2 + j] for j in range(k)) for i in range(k))
     h = LatticeIsometry(split.complement, h_mat)
-    v_comp = intmat.matvec(intmat.inv_unimodular(h_mat), w) if k else ()
-    v = split.to_ambient(v_comp)
-    return h, v
+    return h, split.to_ambient(intmat.matvec(intmat.inv_unimodular(h_mat), w))
 
 
 def stabilizer_compose(split: HyperbolicSplit, h: LatticeIsometry, v) -> LatticeIsometry:

@@ -146,10 +146,8 @@ class Embedding:
         rows, cols = intmat.shape(self.matrix)
         if rows != self.target.rank:
             raise NotPrimitive("embedding columns live in the wrong ambient rank")
-        if cols:
-            diag = intmat.smith_diagonal(self.matrix)
-            if len(diag) < cols or any(d == 0 for d in diag):
-                raise NotPrimitive("embedding columns are not linearly independent")
+        if len(intmat.hnf_rows(self.matrix)) != cols:
+            raise NotPrimitive("embedding columns are not linearly independent")
 
     @property
     def sub_rank(self) -> int:
@@ -159,9 +157,7 @@ class Embedding:
         return restricted_gram(self.target, self.matrix)
 
     def is_primitive(self) -> bool:
-        if self.sub_rank == 0:
-            return True
-        return all(d == 1 for d in intmat.smith_diagonal(self.matrix))
+        return intmat.hnf_rows(self.matrix) == intmat.identity(self.sub_rank)
 
 
 def _integer_matrix(data) -> Matrix:

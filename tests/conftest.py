@@ -83,6 +83,12 @@ def random_unimodular(n: int, rng, steps: int = 12):
     return intmat.freeze(m)
 
 
+def smith_diagonal(mat) -> tuple:
+    """The diagonal of the Smith form, read off snf_transforms."""
+    _, _, d, _, _ = intmat.snf_transforms(mat)
+    return tuple(d[i][i] for i in range(min(intmat.shape(d))))
+
+
 def saturation(cols_mat):
     """Saturation of the column span inside Z^n (double annihilator)."""
     ann = intmat.kernel_basis(intmat.transpose(cols_mat))

@@ -1,11 +1,13 @@
 """Arguments below their range exit 2 as bad arguments.
 
 A budget below 1, a height bound below 1 on the built-in U(r) route or for
-fm count, and a verify-ur range without any r > 2 are validation errors,
-not a budget overrun, a certified answer or a pass over nothing.
+fm count, an isotropic divisor filter below 1, and a verify-ur range without
+any r > 2 are validation errors, not a budget overrun, a certified answer or
+a pass over nothing.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -103,3 +105,21 @@ class TestVerifyUrChecksSomething:
         code, out, err = run_cli("verify-ur", "--r", "0", "--max-r", "3")
         assert (code, err) == (0, "")
         assert '"r": 3' in out and '"all_passed": true' in out
+
+
+class TestIsotropicDivisorBelowOne:
+    @pytest.mark.parametrize("div", ["0", "-2"])
+    def test_exits_2(self, div):
+        assert run_cli("isotropic", "U+diag(-2)", "--bound", "1", "--div", div) == (
+            2, "", f"cuspcount: the divisor must be at least 1, got {div}\n"
+        )
+
+    def test_filter_keeps_exactly_the_divisor_vectors(self):
+        code, out, err = run_cli("isotropic", "U(2)+U", "--bound", "2")
+        assert (code, err) == (0, "")
+        every = json.loads(out)["vectors"]
+        code, out, err = run_cli("isotropic", "U(2)+U", "--bound", "2", "--div", "2")
+        assert (code, err) == (0, "")
+        kept = json.loads(out)["vectors"]
+        assert kept == [v for v in every if v["divisor"] == 2]
+        assert kept and len(kept) < len(every)

@@ -2,7 +2,7 @@
 replaced.
 
 The references below are the earlier implementations, kept here only as
-oracles: Fraction Gauss-Jordan for intmat._solve, Fraction symmetric
+oracles: Fraction Gauss-Jordan for intmat.solve_integer, Fraction symmetric
 elimination for signature, the Smith-form kernel and the quotient built on
 those three.  Divisor-1 quotients are also checked against the U-splitting
 argument, which puts every divisor-1 quotient of a window in one genus, and
@@ -168,11 +168,6 @@ SETTINGS = settings(
 )
 
 
-def solve_as_fractions(mat, rhs):
-    sol = intmat._solve(mat, rhs)
-    return None if sol is None else tuple(Fraction(n, d) for n, d in sol)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -191,8 +186,6 @@ def test_solve_matches_fraction_reference(mat, data):
         rhs = intmat.matvec(mat, x)
         scale = data.draw(st.integers(1, 3))
         mat = tuple(tuple(scale * y for y in row) for row in mat)
-    want = _outcome(reference_solve_rational, mat, rhs)
-    assert _outcome(solve_as_fractions, mat, rhs) == want
     assert _outcome(intmat.solve_integer, mat, rhs) == _outcome(reference_solve_integer, mat, rhs)
 
 
