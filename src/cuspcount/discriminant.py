@@ -460,9 +460,10 @@ class FqfIsometry:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FqfSubgroup:
-    """Subgroup of O(A, q), held as its elements."""
+    """Subgroup of O(A, q), held as its elements.  Two subgroups are equal
+    when they act on one form with the same elements."""
 
     form: FiniteQuadraticForm
     elements: tuple  # closure, canonically sorted by matrix
@@ -473,6 +474,18 @@ class FqfSubgroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def __eq__(self, other):
+        if not isinstance(other, FqfSubgroup):
+            return NotImplemented
+        return self.form == other.form and self.elements == other.elements
+
+    def __hash__(self):
+        return hash((self.form, self.elements))
+
+    def _generator_matrices(self):
+        """The reduced matrices of a generating set: here, of every element."""
+        return [iso.matrix for iso in self.elements]
+
     @functools.cached_property
     def _members(self) -> frozenset:
         """The reduced matrices of the elements, which share self.form."""
@@ -482,7 +495,7 @@ class FqfSubgroup:
         return iso.form == self.form and iso.matrix in self._members
 
     def is_subgroup_of(self, other: "FqfSubgroup") -> bool:
-        return self.form == other.form and self._members <= other._members
+        return self.form == other.form and all(iso in other for iso in self.elements)
 
 
 def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry]) -> FqfSubgroup:
@@ -644,17 +657,18 @@ def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm, li
     return blocks
 
 
+def _combine(combo, orders: tuple) -> Matrix:
+    """The reduced matrix of the element made of one contribution matrix
+    per block (see _primary_blocks): their sum, with row i reduced mod d_i."""
+    return tuple(
+        tuple(sum(entries) % d for entries in zip(*rows)) for d, *rows in zip(orders, *combo)
+    )
+
+
 def _stitch(blocks: list, orders: tuple):
     """The reduced matrix of each tuple of one contribution matrix per
-    block, in the order of itertools.product (see _primary_blocks)."""
-    if len(blocks) == 1:
-        yield from blocks[0]
-        return
-    for combo in itertools.product(*blocks):
-        yield tuple(
-            tuple(sum(entries) % d for entries in zip(*rows))
-            for d, *rows in zip(orders, *combo)
-        )
+    block, in the order of itertools.product."""
+    return (_combine(combo, orders) for combo in itertools.product(*blocks))
 
 
 def _form_defect(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrix: Matrix) -> Optional[str]:
@@ -676,29 +690,76 @@ def _form_defect(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matri
     return None
 
 
-def _isometries(source: FiniteQuadraticForm, target: FiniteQuadraticForm, limit=None) -> list:
-    """The reduced matrices of isometries source -> target of equal orders,
-    in the order of _stitch: all of them, or those built from up to `limit`
-    solutions per p-primary block; empty when there is none.
-
-    An element stitched from several blocks keeps q and b because the
-    p-parts are orthogonal; that is still asserted, element by element.
-    """
-    blocks = _primary_blocks(source, target, limit)
-    if blocks is None:
-        return []
-    matrices = list(_stitch(blocks, target.orders))
-    if len(blocks) > 1 and any(_form_defect(source, target, m) for m in matrices):
+def _assert_keeps_form(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrices):
+    """Stitched elements keep q and b because the p-parts are orthogonal;
+    that is still asserted, element by element."""
+    if any(_form_defect(source, target, m) for m in matrices):
         raise AssertionError("the stitched images do not preserve q and b")
-    return matrices
+
+
+class _FullGroup(FqfSubgroup):
+    """O(A, q), held as the contribution matrices of its p-primary block
+    solutions (see _primary_blocks): O(A, q) is the product of the O(A_p, q_p).
+
+    The order is the product of the block sizes.  Every FqfIsometry of the
+    form was validated or certified when it was built, so each one is a
+    member, and a subgroup with as many elements is all of O(A, q).  The
+    elements are stitched, checked and sorted on first read, and built by
+    `build`: FqfIsometry._certified for the solutions of the search (see
+    aut_group), the validating FqfIsometry for conjugated ones.
+
+    Two checks run when it is built.  Each block's solutions are distinct,
+    which by CRT makes distinct tuples give distinct elements.  And each
+    block solution, stitched with the first solution of every other block,
+    keeps q and b: these sum_p |B_p| elements generate the group.
+    """
+
+    def __init__(self, form: FiniteQuadraticForm, blocks: list, build=FqfIsometry._certified):
+        for block in blocks:
+            if len(set(block)) != len(block):
+                raise AssertionError("two tuples of block solutions gave one element")
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_build", build)
+        if len(blocks) > 1:
+            _assert_keeps_form(form, form, self._generator_matrices())
+
+    def order(self) -> int:
+        return prod(len(block) for block in self._blocks)
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        matrices = sorted(_stitch(self._blocks, self.form.orders))
+        if len(self._blocks) > 1:
+            _assert_keeps_form(self.form, self.form, matrices)
+        if any(a == b for a, b in zip(matrices, matrices[1:])):
+            raise AssertionError("two tuples of block solutions gave one element")
+        return tuple(self._build(self.form, matrix) for matrix in matrices)
+
+    def _generator_matrices(self):
+        """Each block solution stitched with the first solution of every
+        other block: sum_p |B_p| elements that generate O(A, q)."""
+        firsts = [block[0] for block in self._blocks]
+        return [
+            _combine(firsts[:p] + [c] + firsts[p + 1 :], self.form.orders)
+            for p, block in enumerate(self._blocks)
+            for c in block
+        ]
+
+    def __contains__(self, iso: FqfIsometry) -> bool:
+        return iso.form == self.form
+
+    def is_subgroup_of(self, other: FqfSubgroup) -> bool:
+        return self.form == other.form and other.order() == self.order()
 
 
 def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: str = "primary") -> FqfSubgroup:
     """Full O(A, q) by exhaustive enumeration.
 
-    method="primary" enumerates each p-primary block and takes the product;
+    method="primary" enumerates each p-primary block and keeps the block
+    solutions (_FullGroup), so the order and membership need no element;
     method="direct" enumerates generator images on the whole group.  Both
-    agree; the direct route exists as a cross-check.
+    have the same elements; the direct route exists as a cross-check.
 
     The primary route certifies each element once, in the search that finds
     it, and builds it with FqfIsometry._certified.  A block solution sigma
@@ -707,22 +768,15 @@ def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: s
     an automorphism of A_p.  For one prime these are the checks of
     FqfIsometry.  With several primes the element is the direct sum of its
     block automorphisms, hence a well-defined automorphism of A, and it
-    keeps q because the p-parts are orthogonal; _isometries still asserts
-    q and b of each stitched element.  An element restricts to sigma on
-    A_p, so distinct tuples of block solutions give distinct elements
-    (CRT); a repeat raises AssertionError.
+    keeps q because the p-parts are orthogonal; _FullGroup still asserts q
+    and b, and that no two tuples give one element.
     """
     _check_budget(form.order(), budget)
     if method == "direct":
-        elements = tuple(sorted(set(_aut_direct(form)), key=lambda iso: iso.matrix))
-    elif method == "primary":
-        matrices = sorted(_isometries(form, form))
-        if any(a == b for a, b in zip(matrices, matrices[1:])):
-            raise AssertionError("two tuples of block solutions gave one element")
-        elements = tuple(FqfIsometry._certified(form, matrix) for matrix in matrices)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return FqfSubgroup(form, elements)
+        return FqfSubgroup(form, tuple(sorted(set(_aut_direct(form)), key=lambda iso: iso.matrix)))
+    if method == "primary":
+        return _FullGroup(form, _primary_blocks(form, form))
+    raise ValueError(f"unknown method {method!r}")
 
 
 def natural_map(lattice: EvenLattice, isometry) -> FqfIsometry:
@@ -840,8 +894,13 @@ def fqf_isomorphism(source: FiniteQuadraticForm, target: FiniteQuadraticForm) ->
     """
     if source.orders != target.orders:
         return None
-    matrices = _isometries(source, target, limit=1)
-    return matrices[0] if matrices else None
+    blocks = _primary_blocks(source, target, limit=1)
+    if blocks is None:
+        return None
+    witness = _combine([block[0] for block in blocks], target.orders)
+    if len(blocks) > 1:
+        _assert_keeps_form(source, target, [witness])
+    return witness
 
 
 @dataclass(frozen=True)
@@ -865,7 +924,8 @@ def is_isogenus(left: EvenLattice, right: EvenLattice, budget: Optional[int] = N
 
 
 def _is_central(sub: FqfSubgroup) -> bool:
-    """Whether every element of sub is a scalar c * id.
+    """Whether every element of sub is a scalar c * id, read on a
+    generating set: the scalars are closed under products.
 
     Scalars commute with every endomorphism of sum_i Z/d_i, so such a
     subgroup is central in O(A, q); {1} and {+-1} are two.  The orders form
@@ -873,10 +933,10 @@ def _is_central(sub: FqfSubgroup) -> bool:
     """
     orders = sub.form.orders
     k = len(orders)
-    for iso in sub.elements:
-        c = iso.matrix[-1][-1] if k else 0
+    for matrix in sub._generator_matrices():
+        c = matrix[-1][-1] if k else 0
         scalar = tuple(tuple(c % d if i == j else 0 for j in range(k)) for i, d in enumerate(orders))
-        if iso.matrix != scalar:
+        if matrix != scalar:
             return False
     return True
 
@@ -944,22 +1004,28 @@ def transport_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubg
     {1} or {+-id}, moves as itself (psi c psi^-1 = c) onto a form on the same
     group, without an isomorphism search.  psi is an automorphism of the
     group sum_i Z/d_i of both forms, so _inverse_mod inverts it and
-    _matmul_mod composes with it.
+    _matmul_mod composes with it.  psi O(A_src) psi^-1 is O(A_tgt): the
+    full group moves as its conjugated block solutions, whose elements are
+    validated when they are read.
     """
     source = sub.form
     if source == target:
         return sub
     if source.orders == target.orders and _is_central(sub):
-        scalars = (FqfIsometry(target, g.matrix) for g in sub.elements if not g.is_identity())
+        scalars = (FqfIsometry(target, matrix) for matrix in sub._generator_matrices())
         return fqf_subgroup(target, scalars)
     psi = fqf_isomorphism(source, target)
     if psi is None:
         raise NotIsometry("subgroup cannot be transported onto the target form")
     orders = target.orders
     psi_inv_cols = tuple(zip(*_inverse_mod(psi, orders)))
-    moved = []
-    for g in sub.elements:
-        psi_g = _matmul_mod(psi, tuple(zip(*g.matrix)), orders)
-        moved.append(FqfIsometry(target, _matmul_mod(psi_g, psi_inv_cols, orders)))
-    elements = tuple(sorted(moved, key=lambda iso: iso.matrix))
-    return FqfSubgroup(target, elements)
+
+    def conjugate(matrix):
+        psi_g = _matmul_mod(psi, tuple(zip(*matrix)), orders)
+        return _matmul_mod(psi_g, psi_inv_cols, orders)
+
+    if isinstance(sub, _FullGroup):
+        blocks = [[conjugate(c) for c in block] for block in sub._blocks]
+        return _FullGroup(target, blocks, FqfIsometry)
+    moved = sorted(conjugate(g.matrix) for g in sub.elements)
+    return FqfSubgroup(target, tuple(FqfIsometry(target, matrix) for matrix in moved))
