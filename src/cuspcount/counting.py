@@ -234,16 +234,11 @@ def count_cusps_zero_dim(
     the number of divisor-d boundary points exactly when a hyperbolic plane
     embeds in the Picard lattice.
     """
-    section = section_vector(model.ns, height_bound)
-    return _count_cusps_zero_dim(model, d, budget, height_bound, section)
-
-
-def _count_cusps_zero_dim(model: K3Model, d: int, budget, height_bound: int, section) -> CountReport:
-    """count_cusps_zero_dim with the window's section vector (or None) given."""
+    _check_height_bound(height_bound)
     form = discriminant_form(model.ns)
     elements = isotropic_elements(form, d, budget=budget)
     value = _orbit_count(elements, model.hodge_image)
-    if section is not None:
+    if section_vector(model.ns, height_bound) is not None:
         note = "coarse class count; equals the divisor-%d cusp count (hyperbolic plane embeds)" % d
     else:
         note = (
@@ -448,15 +443,14 @@ def route_crosscheck(
         )
     hyperbolic_completion(model.ns, section)  # must succeed: U really embeds
     fm = count_fm(model, budget=budget)
-    cusp1 = _count_cusps_zero_dim(model, 1, budget, height_bound, section)
     form = discriminant_form(model.ns)
     exponent = form.exponent()
     divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
     per_d = tuple(
-        (d, _count_cusps_zero_dim(model, d, budget, height_bound, section).value)
+        (d, _orbit_count(isotropic_elements(form, d, budget=budget), model.hodge_image))
         for d in divisors
     )
-    passed = fm.value == 1 and fm.exact and cusp1.value == 1
+    passed = fm.value == 1 and fm.exact and per_d[0] == (1, 1)  # d = 1 comes first
     return RouteCrosscheck(passed, fm, per_d)
 
 
@@ -528,12 +522,10 @@ def ur_example(r: int, budget: Optional[int] = None) -> UrExampleReport:
     data = _disc_data(ur)
     class_l = data.class_of((1, 0), r)
     class_m = data.class_of((0, 1), r)
-    sub_l = frozenset(form.scale(c, class_l) for c in range(r))
+    # iso maps <l/r> onto <iso(l/r)>; both it and <m/r> have order r, so they
+    # are equal exactly when iso(l/r) lies in <m/r>
     sub_m = frozenset(form.scale(c, class_m) for c in range(r))
-    one_dim_distinct = all(
-        frozenset(iso.apply(x) for x in sub_l) != sub_m
-        for iso in model.hodge_image.elements
-    )
+    one_dim_distinct = all(iso.apply(class_l) not in sub_m for iso in model.hodge_image.elements)
 
     fm_ell = _count_fm_elliptic(model, genus, members, None, budget, DEFAULT_HEIGHT_BOUND)
     fm_ell_expected = (2**tau * phi) // 2

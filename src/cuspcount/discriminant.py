@@ -321,10 +321,10 @@ def _disc_data(lattice: EvenLattice) -> _DiscData:
     U G V = diag(d).  With w_a = G v_a, N q(g_a) = N (w_a . v_a) / d_a^2 mod
     2N and N b(g_a, g_b) = N (w_a . v_b) / (d_a d_b) mod N, all in integers."""
     n = lattice.rank
-    u, _, d, v, _ = intmat.snf_transforms(lattice.gram) if n else ((), (), (), (), ())
+    u, d, v = intmat.snf_transforms(lattice.gram)
     dvec = tuple(d[i][i] for i in range(n))
     keep = tuple(i for i in range(n) if dvec[i] != 1)
-    cols = intmat.columns(v) if n else []
+    cols = intmat.columns(v)
     lifts = [cols[i] for i in keep]
     dkeep = tuple(dvec[i] for i in keep)
     exponent = dkeep[-1] if dkeep else 1

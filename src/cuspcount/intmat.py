@@ -6,7 +6,9 @@ fraction-free.  det is Bareiss elimination.  The row Hermite form hnf_rows
 answers kernel, solve, inverse, rank (len(hnf_rows(mat))) and primitivity
 (the k columns of mat span a primitive sublattice exactly when
 hnf_rows(mat) == identity(k)).  snf_transforms, the Smith form, serves only
-the callers that read its transforms U or V.
+the callers that read its transforms U or V.  It reduces one augmented
+matrix [[A, I], [I, 0]] and returns (U, D, V); inverses of U and V come from
+inv_unimodular.
 """
 
 from __future__ import annotations
@@ -146,57 +148,37 @@ def inv_unimodular(mat) -> Matrix:
 
 
 class _Transformed:
-    """Mutable SNF worker tracking U, U^-1, V, V^-1 alongside A."""
+    """Mutable SNF worker on the augmented matrix [[A, I], [I, 0]].
+
+    Row operations act on the first `rows` rows and column operations on
+    the first `cols` columns, so the top-left block a[i][j] is A, U builds
+    up to its right and V below it.
+    """
 
     def __init__(self, mat):
         self.rows, self.cols = shape(mat)
-        self.a = thaw(mat)
-        self.u = thaw(identity(self.rows))
-        self.uinv = thaw(identity(self.rows))
-        self.v = thaw(identity(self.cols))
-        self.vinv = thaw(identity(self.cols))
+        pad = [0] * self.rows
+        self.a = [list(row) + list(unit) for row, unit in zip(mat, identity(self.rows))]
+        self.a += [list(unit) + pad for unit in identity(self.cols)]
 
     def swap_rows(self, i, j):
-        if i == j:
-            return
         self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for row in self.uinv:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(self, i, j):
-        if i == j:
-            return
         for row in self.a:
             row[i], row[j] = row[j], row[i]
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
     def add_row(self, i, j, c):
         # row_i += c * row_j
-        if c == 0:
-            return
         self.a[i] = [x + c * y for x, y in zip(self.a[i], self.a[j])]
-        self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
-        for row in self.uinv:
-            row[j] -= c * row[i]
 
     def add_col(self, j, i, c):
         # col_j += c * col_i
-        if c == 0:
-            return
         for row in self.a:
             row[j] += c * row[i]
-        for row in self.v:
-            row[j] += c * row[i]
-        self.vinv[i] = [x - c * y for x, y in zip(self.vinv[i], self.vinv[j])]
 
     def negate_row(self, i):
         self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.uinv:
-            row[i] = -row[i]
 
     def _pivot(self, t):
         best = None
@@ -259,21 +241,19 @@ class _Transformed:
 def snf_transforms(mat):
     """Smith normal form with transforms.
 
-    Returns (U, Uinv, D, V, Vinv) with U @ mat @ V == D, U/V unimodular,
-    and the diagonal of D a nonnegative divisibility chain.
+    Returns (U, D, V) with U @ mat @ V == D, U/V unimodular, and the
+    diagonal of D a nonnegative divisibility chain.  A caller that needs
+    U^-1 or V^-1 takes it from inv_unimodular.
     """
-    rows, cols = shape(mat)
-    if rows == 0 or cols == 0:
-        ident_r, ident_c = identity(rows), identity(cols)
-        return ident_r, ident_r, freeze(mat) if rows else (), ident_c, ident_c
     worker = _Transformed(mat)
     worker.reduce()
-    u, uinv = freeze(worker.u), freeze(worker.uinv)
-    v, vinv = freeze(worker.v), freeze(worker.vinv)
-    d = freeze(worker.a)
+    rows, cols, a = worker.rows, worker.cols, worker.a
+    u = freeze(row[cols:] for row in a[:rows])
+    d = freeze(row[:cols] for row in a[:rows])
+    v = freeze(row[:cols] for row in a[rows:])
     if matmul(matmul(u, mat), v) != d:
         raise AssertionError("SNF transform bookkeeping broke")
-    return u, uinv, d, v, vinv
+    return u, d, v
 
 
 def kernel_basis(mat) -> Matrix:

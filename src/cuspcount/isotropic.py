@@ -249,10 +249,10 @@ def quotient_lattice(lattice: EvenLattice, l) -> EvenLattice:
         return EvenLattice(())
     # extend the (primitive) coordinate vector of l to a basis of Z^k
     col = intmat.from_columns([coords])
-    _, uinv, d, _, _ = intmat.snf_transforms(col)
+    u, d, _ = intmat.snf_transforms(col)
     if d[0][0] != 1:
         raise AssertionError("l is not primitive inside its complement")
-    rest = intmat.columns(uinv)[1:]
+    rest = intmat.columns(intmat.inv_unimodular(u))[1:]
     quotient_cols = [intmat.matvec(perp, c) for c in rest]
     cols = intmat.from_columns(quotient_cols)
     return EvenLattice(restricted_gram(lattice, cols))
@@ -408,7 +408,7 @@ def is_standard_plane(lattice: EvenLattice, plane: IsotropicPlane):
     rows = intmat.freeze(
         [intmat.matvec(lattice.gram, v1), intmat.matvec(lattice.gram, v2)]
     )
-    _, _, d, v, _ = intmat.snf_transforms(rows)
+    _, d, v = intmat.snf_transforms(rows)
     if d[0][0] != 1:
         return False, None
     e = tuple(row[0] for row in v)

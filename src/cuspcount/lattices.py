@@ -107,10 +107,9 @@ class LatticeIsometry:
         n = self.lattice.rank
         if intmat.shape(self.matrix) != (n, n):
             raise NotIsometry("isometry matrix has wrong shape")
+        # M^T G M = G with det G != 0 forces det(M)^2 = 1, so M is unimodular
         if restricted_gram(self.lattice, self.matrix) != self.lattice.gram:
             raise NotIsometry("matrix does not preserve the Gram form")
-        if intmat.det(self.matrix) not in (1, -1):
-            raise NotIsometry("isometry matrix is not unimodular")
 
     def apply(self, v) -> tuple:
         return intmat.matvec(self.matrix, v)
@@ -383,7 +382,8 @@ def orthogonal_complement(lattice: EvenLattice, emb: Embedding, allow_degenerate
 def smith_normal_form(mat):
     """(left, diag, right) with left @ diag @ right == mat, outer factors unimodular."""
     m = intmat.freeze(mat)
-    _, uinv, d, _, vinv = intmat.snf_transforms(m)
+    u, d, v = intmat.snf_transforms(m)
+    uinv, vinv = intmat.inv_unimodular(u), intmat.inv_unimodular(v)
     if intmat.matmul(intmat.matmul(uinv, d), vinv) != m:
         raise AssertionError("SNF factor product check failed")
     return uinv, d, vinv

@@ -85,7 +85,7 @@ def random_unimodular(n: int, rng, steps: int = 12):
 
 def smith_diagonal(mat) -> tuple:
     """The diagonal of the Smith form, read off snf_transforms."""
-    _, _, d, _, _ = intmat.snf_transforms(mat)
+    _, d, _ = intmat.snf_transforms(mat)
     return tuple(d[i][i] for i in range(min(intmat.shape(d))))
 
 
@@ -197,7 +197,7 @@ def reference_form_tables(lattice) -> tuple:
     n = lattice.rank
     if not n:
         return (), (), ()
-    _, _, d, v, _ = intmat.snf_transforms(lattice.gram)
+    _, d, v = intmat.snf_transforms(lattice.gram)
     keep = [i for i in range(n) if d[i][i] != 1]
     cols = intmat.columns(v)
     lifts = [cols[i] for i in keep]

@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from conftest import U
+from cuspcount import counting
 from cuspcount.cli import main
 from cuspcount.counting import K3Model, count_fm_elliptic
 from cuspcount.discriminant import resolve_budget
@@ -90,6 +91,45 @@ class TestHeightBoundBelowOne:
     def test_library_raises(self):
         with pytest.raises(ZeroVector):
             count_fm_elliptic(K3Model.generic(U(6)), height_bound=0)
+
+
+class TestCuspsValidateBeforeScan:
+    """cusps rejects a bad divisor or an exceeded budget before it walks the
+    window for a section vector."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        calls = []
+        real = counting.section_vector
+
+        def spy(lattice, height_bound):
+            calls.append(lattice)
+            return real(lattice, height_bound)
+
+        monkeypatch.setattr(counting, "section_vector", spy)
+        return calls
+
+    def test_divisor_zero_scans_nothing(self, scans):
+        assert run_cli("cusps", "U(2)", "--div", "0") == (
+            2, "", "cuspcount: the order d must be at least 1, got 0\n"
+        )
+        assert scans == []
+
+    def test_budget_exceeded_scans_nothing(self, scans):
+        assert run_cli("cusps", "U(6)", "--div", "2", "--budget", "5") == (
+            3, "", "cuspcount: budget exceeded: |A| = 36 exceeds the budget 5\n"
+        )
+        assert scans == []
+
+    def test_valid_query_scans_once(self, scans):
+        assert run_cli("cusps", "U(2)", "--div", "2")[0] == 0
+        assert len(scans) == 1
+
+    def test_height_bound_message_comes_first(self, scans):
+        assert run_cli("cusps", "U(2)", "--div", "0", "--bound", "0") == (
+            2, "", "cuspcount: height bound must be positive\n"
+        )
+        assert scans == []
 
 
 class TestVerifyUrChecksSomething:

@@ -17,6 +17,7 @@ from cuspcount.counting import (
     ur_example,
 )
 from cuspcount.discriminant import (
+    _disc_data,
     aut_group,
     discriminant_form,
     fqf_subgroup,
@@ -239,6 +240,27 @@ class TestUrExample:
         ) == values
         assert report.one_dim_distinct
         assert report.genus_singleton
+
+    def test_one_dim_distinct_matches_subgroup_comparison(self):
+        # ur_example tests only whether iso(l/r) lies in <m/r>.  The oracle
+        # is the comparison it made before: iso(<l/r>) == <m/r> as sets.
+        # Both are checked on every element of O(A), which holds the swap
+        # of l and m, and the verdict on the generic group is compared.
+        for r in range(3, 61):
+            form = discriminant_form(U(r))
+            data = _disc_data(U(r))
+            class_l, class_m = data.class_of((1, 0), r), data.class_of((0, 1), r)
+            sub_l = frozenset(form.scale(c, class_l) for c in range(r))
+            sub_m = frozenset(form.scale(c, class_m) for c in range(r))
+            swaps = {
+                iso: frozenset(iso.apply(x) for x in sub_l) == sub_m
+                for iso in aut_group(form).elements
+            }
+            assert any(swaps.values())
+            for iso, swapped in swaps.items():
+                assert (iso.apply(class_l) in sub_m) == swapped
+            generic = plus_minus_subgroup(form).elements
+            assert ur_example(r).one_dim_distinct == (not any(swaps[iso] for iso in generic))
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -103,7 +103,7 @@ def reference_kernel_basis(mat):
     rows, cols = intmat.shape(mat)
     if cols == 0:
         return ()
-    _, _, d, v, _ = intmat.snf_transforms(mat)
+    _, d, v = intmat.snf_transforms(mat)
     rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
     cols_v = intmat.columns(v)[rank:]
     if not cols_v:
@@ -116,7 +116,8 @@ def reference_quotient_gram(lattice, v):
     coords = reference_solve_integer(perp, v)
     if intmat.shape(perp)[1] == 1:
         return ()
-    _, uinv, _, _, _ = intmat.snf_transforms(intmat.from_columns([coords]))
+    u, _, _ = intmat.snf_transforms(intmat.from_columns([coords]))
+    uinv = intmat.inv_unimodular(u)
     cols = intmat.from_columns([intmat.matvec(perp, c) for c in intmat.columns(uinv)[1:]])
     return intmat.matmul(intmat.matmul(intmat.transpose(cols), lattice.gram), cols)
 

@@ -251,6 +251,26 @@ class TestIsometries:
         with pytest.raises(NotIsometry):
             LatticeIsometry(U(1), ((1, 1), (0, 1)))
 
+    def test_rejects_every_non_unimodular_matrix(self, corpus_lattices, rng):
+        # the Gram check alone rejects these: M^T G M = G forces det(M)^2 = 1
+        for _ in range(400):
+            lattice = rng.choice(corpus_lattices + [random_even_lattice(rng, rng.randint(1, 4))])
+            n = lattice.rank
+            scale = rng.choice([0, 2, -2, 3])
+            skewed = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                skewed[i][i] = rng.choice([0, 2, 3])
+            candidates = [
+                intmat.freeze([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]),
+                tuple(tuple(scale * x for x in row) for row in intmat.identity(n)),
+                intmat.matmul(LatticeIsometry.minus_identity(lattice).matrix, intmat.freeze(skewed)),
+            ]
+            for mat in candidates:
+                if intmat.det(mat) in (1, -1):
+                    continue
+                with pytest.raises(NotIsometry):
+                    LatticeIsometry(lattice, mat)
+
     def test_inverse(self):
         iso = LatticeIsometry(U(3), ((0, 1), (1, 0)))
         assert iso.inverse().matrix == iso.matrix
