@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import intmat
 from .errors import (
@@ -34,7 +34,7 @@ from .lattices import EvenLattice, LatticeIsometry, signature
 
 DEFAULT_BUDGET = 10_000
 BUDGET_ENV_VAR = "CUSPCOUNT_BUDGET"
-MAX_SUBGROUP_ORDER = 1_000_000  # cap on the closure in fqf_subgroup
+MAX_SUBGROUP_ORDER = 1_000_000  # cap on the elements fqf_subgroup and _FullGroup build
 
 
 def resolve_budget(budget: Optional[int] = None) -> int:
@@ -445,7 +445,7 @@ class FqfIsometry:
     @classmethod
     def _certified(cls, form: FiniteQuadraticForm, matrix: Matrix) -> "FqfIsometry":
         """An element of O(A, q) from its reduced matrix, without
-        __post_init__: only for aut_group's primary route, whose search has
+        __post_init__: only for aut_group's primary route, which has
         certified the matrix (see aut_group)."""
         iso = object.__new__(cls)
         object.__setattr__(iso, "form", form)
@@ -544,38 +544,49 @@ def _span_elements(form: FiniteQuadraticForm, gens) -> set:
     return span
 
 
-def _image_assignments(form, pool, gen_orders, gen_q, gen_b):
-    """DFS over assignments of images to generators of orders gen_orders,
-    matching element order, q and pairwise b.
-
-    pool: candidate target elements (of `form`); gen_q[i] and gen_b[i][j] are
-    the required q- and b-numerators over the exponent of `form` (N q mod 2N,
-    N b mod N).  Yields image tuples in the lexicographic order of `pool`.
-    Matched orders make each tuple a well-defined map on sum_i Z/e_i, and
-    matched b makes it keep b.  The generators span a nondegenerate form or
-    one of its p-parts, where b is nondegenerate too, so the map is
-    injective; callers pass as many generators as make up the group spanned
-    by the pool, so it is bijective onto it.  Each pool element's pairing
-    row is computed once; it gives the element's q, and its bucket keeps it.
-    """
+def _candidates(form, pool, gen_orders, gen_q) -> list:
+    """Per generator, the (x, pairing row) of the pool elements x that match
+    its element order and q numerator (over the exponent of `form`), in the
+    order of `pool`.  Each pool element's pairing row is computed once; it
+    gives the element's q, and its bucket keeps it for the b checks of
+    _place_images."""
     buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
     for x in pool:
         pairing = form._pairing(x)
         bucket = buckets.get((form.element_order(x), form._qn_paired(x, pairing)))
         if bucket is not None:
             bucket.append((x, pairing))
-    candidates = [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
-    return _place_images(form._n, candidates, gen_b, [])
+    return [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
+
+
+def _narrow(n, later, row, wants) -> Optional[list]:
+    """Each candidate list of `later` filtered, in order, by b(c, x) = want
+    through the pairing row of the image x just placed; None when one comes
+    out empty."""
+    narrowed = []
+    for pool, want in zip(later, wants):
+        kept = [c for c in pool if sum(map(operator.mul, c[0], row)) % n == want]
+        if not kept:
+            return None
+        narrowed.append(kept)
+    return narrowed
 
 
 def _place_images(n, candidates, gen_b, images):
-    """Forward checking: candidates[0] lists the images left for generator
-    i = len(images), each already paired correctly with images 0..i-1, and
-    candidates[1:] those of the later generators.  Placing x filters every
-    later list, in order, by b(c, x) = gen_b[j][i] through x's pairing row,
-    and cuts the branch when one comes out empty.  So a candidate is tried
-    exactly when it pairs correctly with every earlier image, and the
-    tuples come out in the lexicographic order of the lists.
+    """DFS over assignments of images to generators, by forward checking.
+
+    images holds the images of generators 0..i-1; candidates[0] lists the
+    images left for generator i, each already paired correctly with them,
+    and candidates[1:] those of the later generators.  Placing x narrows
+    every later list (_narrow) and cuts the branch when one comes out empty.
+    So a candidate is tried exactly when it pairs correctly with every
+    earlier image, and the image tuples come out in the lexicographic order
+    of the lists.  Matched element orders (_candidates) make a tuple a
+    well-defined map on sum_i Z/e_i, and matched b makes it keep b.  The
+    generators span a nondegenerate form or one of its p-parts, where b is
+    nondegenerate too, so the map is injective; callers pass as many
+    generators as make up the group spanned by the pool, so it is bijective
+    onto it.
     """
     # A module-level generator, not a closure: a closure that calls itself
     # is a reference cycle, and it would keep `candidates` alive until the
@@ -587,13 +598,8 @@ def _place_images(n, candidates, gen_b, images):
     later = candidates[1:]
     wants = [gen_b[j][i] for j in range(i + 1, i + 1 + len(later))]
     for x, row in candidates[0]:
-        narrowed = []
-        for pool, want in zip(later, wants):
-            kept = [c for c in pool if sum(map(operator.mul, c[0], row)) % n == want]
-            if not kept:
-                break
-            narrowed.append(kept)
-        else:
+        narrowed = _narrow(n, later, row, wants)
+        if narrowed is not None:
             images.append(x)
             yield from _place_images(n, narrowed, gen_b, images)
             images.pop()
@@ -602,36 +608,48 @@ def _place_images(n, candidates, gen_b, images):
 def _aut_direct(form: FiniteQuadraticForm) -> list:
     if form.is_trivial():
         return [FqfIsometry.identity(form)]
-    pool = sorted(form.elements())
-    out = []
-    for images in _image_assignments(form, pool, form.orders, form._q, form._b):
-        out.append(FqfIsometry.from_images(form, images))
-    return out
+    candidates = _candidates(form, sorted(form.elements()), form.orders, form._q)
+    return [
+        FqfIsometry.from_images(form, images)
+        for images in _place_images(form._n, candidates, form._b, [])
+    ]
 
 
-def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm, limit=None) -> Optional[list]:
-    """Per p-primary block, the contribution matrices of up to `limit` of
-    its isometries source -> target (None: all); None when a block has none.
-    The forms have equal orders, hence one exponent, so the source
-    numerators apply.
+class _Block(NamedTuple):
+    """The search set-up of one p-primary block (see _primary_blocks)."""
+
+    idxs: tuple  # the generators g_i with p | d_i
+    hgens: tuple  # h_i = (d_i / p^v) g_i, p^v || d_i, which span A_p
+    weights: tuple  # w_i with e_p g_i = w_i h_i
+    pool: list  # the |A_p| target elements, sorted
+    gen_orders: tuple  # p^v, the order of h_i
+    gen_q: tuple  # N q(h_i) mod 2N
+    gen_b: list  # N b(h_i, h_j) mod N
+    candidates: list  # _candidates of the pool for the h_i
+
+
+def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm):
+    """The search set-up (_Block) of each p-primary block, for isometries
+    source -> target.  The forms have equal orders, hence one exponent, so
+    the source numerators apply.
 
     A is the orthogonal sum of its p-parts A_p, spanned by the h_i =
     (d_i / p^v) g_i with p^v || d_i.  Each block searches a pool of the |A_p|
     target elements.  The CRT idempotent e_p of the exponent gives
-    e_p g_i = w_i h_i, so a block solution sigma contributes w_i sigma(h_i)
-    to column i of every element it is part of: its contribution matrix,
-    with row i reduced mod d_i.  For one prime the h_i are the g_i, each
-    w_i is 1 and a contribution matrix is the element's reduced matrix.
+    e_p g_i = w_i h_i, so a block isometry sigma contributes w_i sigma(h_i)
+    to column i of every element it is part of: its contribution matrix
+    (_contribution), with row i reduced mod d_i.  For one prime the h_i are
+    the g_i, each w_i is 1 and a contribution matrix is the element's
+    reduced matrix.
     """
     k = source.ngens
     exponent = source.exponent()
     orders = source.orders
-    blocks = []
     for p, idxs in _group_tables(orders)[1]:
         pe_n = p ** _p_valuation(exponent, p)
         m = exponent // pe_n
         idem = m * pow(m, -1, pe_n)
-        pe = [p ** _p_valuation(orders[i], p) for i in idxs]
+        pe = tuple(p ** _p_valuation(orders[i], p) for i in idxs)
         hgens = []
         weights = []
         axes = [(0,)] * k  # the span of the h_i: the multiples of d_i / p^v in coordinate i
@@ -643,18 +661,54 @@ def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm, li
             axes[i] = range(0, orders[i], orders[i] // q)
         pool = list(itertools.product(*axes))  # sorted, as each axis is
         gen_b = [[source._bn(g, h) for h in hgens] for g in hgens]
-        gen_q = [source._qn(h) for h in hgens]
-        found = _image_assignments(target, pool, pe, gen_q, gen_b)
-        contributions = []
-        for sigma in itertools.islice(found, limit):
-            cols = [target.zero()] * k
-            for i, w, image in zip(idxs, weights, sigma):
-                cols[i] = image if w == 1 else target.scale(w, image)
-            contributions.append(tuple(zip(*cols)))
-        if not contributions:
-            return None
-        blocks.append(contributions)
-    return blocks
+        gen_q = tuple(source._qn(h) for h in hgens)
+        candidates = _candidates(target, pool, pe, gen_q)
+        yield _Block(idxs, tuple(hgens), tuple(weights), pool, pe, gen_q, gen_b, candidates)
+
+
+def _contribution(block: _Block, sigma, target: FiniteQuadraticForm) -> Matrix:
+    """The contribution matrix of the block isometry with images sigma of
+    the h_i: column i is w_i sigma(h_i) for i in the block, and 0 elsewhere."""
+    cols = [target.zero()] * target.ngens
+    for i, w, image in zip(block.idxs, block.weights, sigma):
+        cols[i] = image if w == 1 else target.scale(w, image)
+    return tuple(zip(*cols))
+
+
+def _stabilizer_chain(form: FiniteQuadraticForm, block: _Block) -> tuple:
+    """(e, levels): the contribution matrix e of the identity of A_p, and a
+    stabilizer chain of O(A_p, q_p) on h_1..h_k.  levels[i] holds one
+    contribution matrix per point of the orbit of h_{i+1} under the
+    stabilizer of h_1..h_i: a transversal of the next stabilizer in it.
+
+    Level i keeps h_1..h_{i-1} at themselves, which the search may do
+    because source and target are one form.  Each candidate y for h_i that
+    survives forward checking is tried, and only the first completion of
+    the rest is kept: y completes exactly when it is in the orbit, and
+    that completion is an element of the stabilizer that moves h_i to y.
+    Then h_i is placed at itself, and the search goes on to level i + 1.
+    """
+    n = form._n
+    k = len(block.hgens)
+    levels = []
+    candidates = block.candidates
+    for i, h in enumerate(block.hgens):
+        first, later = candidates[0], candidates[1:]
+        wants = [block.gen_b[j][i] for j in range(i + 1, k)]
+        level = []
+        for y, row in first:
+            narrowed = _narrow(n, later, row, wants)
+            if narrowed is not None:
+                # a fresh prefix list each time: an abandoned search keeps its appends
+                sigma = next(_place_images(n, narrowed, block.gen_b, [*block.hgens[:i], y]), None)
+                if sigma is not None:
+                    level.append(_contribution(block, sigma, form))
+        row = next((row for x, row in first if x == h), None)
+        if row is None:
+            raise AssertionError("a generator of the block is not among its own candidates")
+        candidates = _narrow(n, later, row, wants)
+        levels.append(level)
+    return _contribution(block, block.hgens, form), levels
 
 
 def _combine(combo, orders: tuple) -> Matrix:
@@ -669,6 +723,38 @@ def _stitch(blocks: list, orders: tuple):
     """The reduced matrix of each tuple of one contribution matrix per
     block, in the order of itertools.product."""
     return (_combine(combo, orders) for combo in itertools.product(*blocks))
+
+
+def _products(ident: Matrix, levels: list, orders: tuple) -> list:
+    """The contribution matrix of each product u_1 u_2 ... u_k with u_i in
+    levels[i-1], by C(sigma) C(tau) = C(sigma tau) (_matmul_mod): a block
+    isometry maps A_p into A_p, so the projection e_p in between does
+    nothing.  Where a column of C(tau) is that of the identity
+    contribution e_p, the column of C(sigma) C(tau) is that of
+    C(sigma) e_p = C(sigma), so only the other columns are multiplied; an
+    element of level i fixes h_1..h_{i-1}."""
+    ident_cols = tuple(zip(*ident))
+    products = levels[0]
+    for level in levels[1:]:
+        moves = []
+        for u in level:
+            where = [c for c, (col, e) in enumerate(zip(zip(*u), ident_cols)) if col != e]
+            moves.append((where, tuple(tuple(row[c] for row in u) for c in where)))
+        out = []
+        for a in products:
+            for where, cols in moves:
+                if not where:  # u is e_p
+                    out.append(a)
+                    continue
+                rows = []
+                for row, moved in zip(a, _matmul_mod(a, cols, orders)):
+                    row = list(row)
+                    for c, value in zip(where, moved):
+                        row[c] = value
+                    rows.append(tuple(row))
+                out.append(tuple(rows))
+        products = out
+    return products
 
 
 def _form_defect(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrix: Matrix) -> Optional[str]:
@@ -691,59 +777,80 @@ def _form_defect(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matri
 
 
 def _assert_keeps_form(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrices):
-    """Stitched elements keep q and b because the p-parts are orthogonal;
-    that is still asserted, element by element."""
+    """Stitched elements and products of isometries keep q and b, because
+    the p-parts are orthogonal and isometries compose; that is still
+    asserted, element by element."""
     if any(_form_defect(source, target, m) for m in matrices):
         raise AssertionError("the stitched images do not preserve q and b")
 
 
 class _FullGroup(FqfSubgroup):
-    """O(A, q), held as the contribution matrices of its p-primary block
-    solutions (see _primary_blocks): O(A, q) is the product of the O(A_p, q_p).
+    """O(A, q), held as a stabilizer chain of each p-primary block
+    (_stabilizer_chain): O(A, q) is the product of the O(A_p, q_p).
 
-    The order is the product of the block sizes.  Every FqfIsometry of the
-    form was validated or certified when it was built, so each one is a
-    member, and a subgroup with as many elements is all of O(A, q).  The
-    elements are stitched, checked and sorted on first read, and built by
-    `build`: FqfIsometry._certified for the solutions of the search (see
-    aut_group), the validating FqfIsometry for conjugated ones.
+    Order.  Let G_i be the stabilizer of h_1..h_i in G_0 = O(A_p, q_p).  The
+    elements of G_{i-1} that move h_i to one point y are one left coset of
+    G_i, so |G_{i-1}| = |T_i| |G_i| for the transversal T_i (orbit and
+    stabilizer), and G_k = 1 because the h_i span A_p.  So |O(A_p, q_p)| is
+    the product of the |T_i|, and order() is that product over every p and
+    i, read with no element built.  Every FqfIsometry of the form was
+    validated or certified when it was built, so each one is a member, and
+    a subgroup with as many elements is all of O(A, q).
 
-    Two checks run when it is built.  Each block's solutions are distinct,
-    which by CRT makes distinct tuples give distinct elements.  And each
-    block solution, stitched with the first solution of every other block,
-    keeps q and b: these sum_p |B_p| elements generate the group.
+    Generators.  Each element of O(A_p, q_p) is uniquely u_1 u_2 ... u_k
+    with u_i in T_i, so the T_i generate it.  Each transversal element,
+    stitched with the identity contribution e_q of every other block,
+    gives a generating set of O(A, q) (_generator_matrices).
+
+    Elements are built on first read: the products of each block
+    (_products), stitched across blocks, asserted to keep q and b, to be
+    distinct and to number order(), sorted, and built by `build`:
+    FqfIsometry._certified for aut_group's chains, the validating
+    FqfIsometry for conjugated ones.  A group with more than
+    MAX_SUBGROUP_ORDER elements raises BudgetExceeded before it builds any.
+
+    Two checks run when it is built.  The elements of each level are
+    distinct.  And with several blocks, each generator keeps q and b.
     """
 
-    def __init__(self, form: FiniteQuadraticForm, blocks: list, build=FqfIsometry._certified):
-        for block in blocks:
-            if len(set(block)) != len(block):
-                raise AssertionError("two tuples of block solutions gave one element")
+    def __init__(self, form: FiniteQuadraticForm, chains: list, build=FqfIsometry._certified):
+        for _, levels in chains:
+            for level in levels:
+                if len(set(level)) != len(level):
+                    raise AssertionError("two transversal elements gave one element")
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_chains", chains)
         object.__setattr__(self, "_build", build)
-        if len(blocks) > 1:
+        if len(chains) > 1:
             _assert_keeps_form(form, form, self._generator_matrices())
 
     def order(self) -> int:
-        return prod(len(block) for block in self._blocks)
+        return prod(len(level) for _, levels in self._chains for level in levels)
 
     @functools.cached_property
     def elements(self) -> tuple:
-        matrices = sorted(_stitch(self._blocks, self.form.orders))
-        if len(self._blocks) > 1:
-            _assert_keeps_form(self.form, self.form, matrices)
-        if any(a == b for a, b in zip(matrices, matrices[1:])):
-            raise AssertionError("two tuples of block solutions gave one element")
+        order = self.order()
+        if order > MAX_SUBGROUP_ORDER:
+            raise BudgetExceeded(f"|O(A, q)| = {order} exceeds the cap {MAX_SUBGROUP_ORDER} on built elements")
+        orders = self.form.orders
+        blocks = [_products(ident, levels, orders) for ident, levels in self._chains]
+        matrices = sorted(_stitch(blocks, orders))
+        _assert_keeps_form(self.form, self.form, matrices)
+        if len(matrices) != order or any(a == b for a, b in zip(matrices, matrices[1:])):
+            raise AssertionError("two products of transversal elements gave one element")
         return tuple(self._build(self.form, matrix) for matrix in matrices)
 
     def _generator_matrices(self):
-        """Each block solution stitched with the first solution of every
-        other block: sum_p |B_p| elements that generate O(A, q)."""
-        firsts = [block[0] for block in self._blocks]
+        """Each transversal element other than the identity, stitched with
+        the identity contribution of every other block: elements that
+        generate O(A, q)."""
+        idents = [ident for ident, _ in self._chains]
         return [
-            _combine(firsts[:p] + [c] + firsts[p + 1 :], self.form.orders)
-            for p, block in enumerate(self._blocks)
-            for c in block
+            _combine(idents[:p] + [u] + idents[p + 1 :], self.form.orders)
+            for p, (ident, levels) in enumerate(self._chains)
+            for level in levels
+            for u in level
+            if u != ident
         ]
 
     def __contains__(self, iso: FqfIsometry) -> bool:
@@ -754,28 +861,27 @@ class _FullGroup(FqfSubgroup):
 
 
 def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: str = "primary") -> FqfSubgroup:
-    """Full O(A, q) by exhaustive enumeration.
+    """Full O(A, q).
 
-    method="primary" enumerates each p-primary block and keeps the block
-    solutions (_FullGroup), so the order and membership need no element;
+    method="primary" keeps a stabilizer chain of each p-primary block
+    (_FullGroup): its order is the product of the transversal sizes, by
+    orbit and stabilizer, and its membership needs no element; the elements
+    are built as products of transversal elements when they are read.
     method="direct" enumerates generator images on the whole group.  Both
     have the same elements; the direct route exists as a cross-check.
 
-    The primary route certifies each element once, in the search that finds
-    it, and builds it with FqfIsometry._certified.  A block solution sigma
-    matched element orders, q and every pairwise b, so it is a well-defined
-    map on A_p that keeps b; b is nondegenerate, so sigma is injective and
-    an automorphism of A_p.  For one prime these are the checks of
-    FqfIsometry.  With several primes the element is the direct sum of its
-    block automorphisms, hence a well-defined automorphism of A, and it
-    keeps q because the p-parts are orthogonal; _FullGroup still asserts q
-    and b, and that no two tuples give one element.
+    The primary route builds its elements with FqfIsometry._certified.  A
+    transversal element is a search leaf: it matched element orders, q and
+    every pairwise b, so it is a well-defined map on A_p that keeps b; b is
+    nondegenerate, so it is injective and an automorphism of A_p.  Products
+    and direct sums of such maps are well-defined automorphisms of A; each
+    one is still asserted to keep q and b, and no two to be equal.
     """
     _check_budget(form.order(), budget)
     if method == "direct":
         return FqfSubgroup(form, tuple(sorted(set(_aut_direct(form)), key=lambda iso: iso.matrix)))
     if method == "primary":
-        return _FullGroup(form, _primary_blocks(form, form))
+        return _FullGroup(form, [_stabilizer_chain(form, block) for block in _primary_blocks(form, form)])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -889,16 +995,20 @@ def fqf_isomorphism(source: FiniteQuadraticForm, target: FiniteQuadraticForm) ->
     """Matrix of an isomorphism (A_src, q) -> (A_tgt, q), or None.
 
     Column j holds the target coordinates of the image of source generator j.
-    The search runs per p-primary block (_primary_blocks), so for a group
-    of one prime it is the whole-group search and its first witness.
+    The search runs per p-primary block (_primary_blocks) and keeps the
+    first isometry of each, so for a group of one prime it is the
+    whole-group search and its first witness.
     """
     if source.orders != target.orders:
         return None
-    blocks = _primary_blocks(source, target, limit=1)
-    if blocks is None:
-        return None
-    witness = _combine([block[0] for block in blocks], target.orders)
-    if len(blocks) > 1:
+    contributions = []
+    for block in _primary_blocks(source, target):
+        sigma = next(_place_images(target._n, block.candidates, block.gen_b, []), None)
+        if sigma is None:
+            return None
+        contributions.append(_contribution(block, sigma, target))
+    witness = _combine(contributions, target.orders)
+    if len(contributions) > 1:
         _assert_keeps_form(source, target, [witness])
     return witness
 
@@ -1005,8 +1115,8 @@ def transport_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubg
     group, without an isomorphism search.  psi is an automorphism of the
     group sum_i Z/d_i of both forms, so _inverse_mod inverts it and
     _matmul_mod composes with it.  psi O(A_src) psi^-1 is O(A_tgt): the
-    full group moves as its conjugated block solutions, whose elements are
-    validated when they are read.
+    full group moves as its conjugated transversal elements, and the
+    elements built from them are validated when they are read.
     """
     source = sub.form
     if source == target:
@@ -1025,7 +1135,8 @@ def transport_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubg
         return _matmul_mod(psi_g, psi_inv_cols, orders)
 
     if isinstance(sub, _FullGroup):
-        blocks = [[conjugate(c) for c in block] for block in sub._blocks]
-        return _FullGroup(target, blocks, FqfIsometry)
+        # the identity contributions are scalars, which conjugation keeps
+        chains = [(ident, [[conjugate(u) for u in level] for level in levels]) for ident, levels in sub._chains]
+        return _FullGroup(target, chains, FqfIsometry)
     moved = sorted(conjugate(g.matrix) for g in sub.elements)
     return FqfSubgroup(target, tuple(FqfIsometry(target, matrix) for matrix in moved))

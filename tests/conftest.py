@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import lcm
 import pytest
 
 from cuspcount import intmat
-from cuspcount.discriminant import _group_tables
+from cuspcount.discriminant import _group_tables, _p_valuation
 from cuspcount.errors import LatticeError
 from cuspcount.lattices import direct_sum, make_lattice, named_lattice
 
@@ -160,17 +161,17 @@ def random_even_lattice(rng, rank, entry_bound=20):
 # --- references for the O(A, q) search and the form constructor -------------
 
 
-def reference_image_assignments(form, pool, gen_orders, gen_q, gen_b) -> list:
+def reference_image_assignments(form, pool, gen_orders, gen_q, gen_b):
     """The block search checked node by node: candidates bucketed by element
     order and form._qn, and each candidate tested at its node against the
-    pairing row of every image placed before it."""
+    pairing row of every image placed before it.  Yields the image tuples."""
     buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
     for x in pool:
         bucket = buckets.get((form.element_order(x), form._qn(x)))
         if bucket is not None:
             bucket.append((x, form._pairing(x)))
     candidates = [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
-    return list(reference_place_images(form._n, candidates, gen_b, [], []))
+    yield from reference_place_images(form._n, candidates, gen_b, [], [])
 
 
 def reference_place_images(n, candidates, gen_b, images, pairings):
@@ -189,6 +190,40 @@ def reference_place_images(n, candidates, gen_b, images, pairings):
             yield from reference_place_images(n, candidates, gen_b, images, pairings)
             images.pop()
             pairings.pop()
+
+
+def reference_full_group(form) -> list:
+    """The sorted reduced matrices of O(A, q) by the full enumeration of
+    each p-primary block, stitched over every tuple of one solution per
+    block: the route aut_group took before it kept a stabilizer chain."""
+    k, exponent, orders = form.ngens, form.exponent(), form.orders
+    blocks = []
+    for p, idxs in _group_tables(orders)[1]:
+        pe_n = p ** _p_valuation(exponent, p)
+        m = exponent // pe_n
+        idem = m * pow(m, -1, pe_n)
+        pe = [p ** _p_valuation(orders[i], p) for i in idxs]
+        hgens, weights, axes = [], [], [(0,)] * k
+        for i, q in zip(idxs, pe):
+            coords = [0] * k
+            coords[i] = orders[i] // q
+            hgens.append(tuple(coords))
+            weights.append((idem % orders[i]) // (orders[i] // q))
+            axes[i] = range(0, orders[i], orders[i] // q)
+        pool = list(itertools.product(*axes))
+        gen_b = [[form._bn(g, h) for h in hgens] for g in hgens]
+        gen_q = [form._qn(h) for h in hgens]
+        contributions = []
+        for sigma in reference_image_assignments(form, pool, pe, gen_q, gen_b):
+            cols = [form.zero()] * k
+            for i, w, image in zip(idxs, weights, sigma):
+                cols[i] = form.scale(w, image)
+            contributions.append(tuple(zip(*cols)))
+        blocks.append(contributions)
+    return sorted(
+        tuple(tuple(sum(entries) % d for entries in zip(*rows)) for d, *rows in zip(orders, *combo))
+        for combo in itertools.product(*blocks)
+    )
 
 
 def reference_form_tables(lattice) -> tuple:

@@ -1,8 +1,9 @@
-"""The primary route of aut_group certifies each element once, in the
-p-primary search that finds it, and builds it without FqfIsometry's
-validation.  These tests compare it with the direct route, validate every
-element in full again, pin that the route validates none itself, and break
-one block solution to see the stitched-element checks fire.
+"""The primary route of aut_group certifies each element once, from the
+p-primary searches that find its transversal elements and the q/b check of
+every product, and builds it without FqfIsometry's validation.  These tests
+compare it with the direct route, validate every element in full again, pin
+that the route validates none itself, and break one transversal element to
+see the construction-time and read-time checks fire.
 """
 
 import functools
@@ -61,28 +62,43 @@ def test_primary_route_validates_no_element(label, monkeypatch):
     assert validated  # the direct route still validates each element
 
 
-def _patch_first_block(monkeypatch, edit):
-    """Let edit rewrite the solutions of the first p-primary block searched."""
-    real = discriminant._image_assignments
+def _patch_first_level(monkeypatch, edit):
+    """Let edit rewrite the first level of the first stabilizer chain built:
+    the transversal of the orbit of h_1 in the first p-primary block."""
+    real = discriminant._stabilizer_chain
     calls = []
 
     def patched(*args):
-        solutions = list(real(*args))
+        ident, levels = real(*args)
         calls.append(None)
-        return iter(edit(solutions) if len(calls) == 1 else solutions)
+        if len(calls) == 1:
+            levels = [edit(levels[0])] + levels[1:]
+        return ident, levels
 
-    monkeypatch.setattr(discriminant, "_image_assignments", patched)
+    monkeypatch.setattr(discriminant, "_stabilizer_chain", patched)
     return calls
 
 
-def test_corrupt_block_solution_fails_the_stitched_check(monkeypatch):
+def _corrupt_first_contribution(monkeypatch):
+    """Send h_1 to 0 in the first block isometry made into a contribution
+    matrix: the first transversal element of aut_group, or the first
+    block's witness of fqf_isomorphism."""
+    real = discriminant._contribution
+    calls = []
+
+    def patched(block, sigma, target):
+        calls.append(None)
+        if len(calls) == 1:
+            sigma = (target.zero(),) + tuple(sigma[1:])
+        return real(block, sigma, target)
+
+    monkeypatch.setattr(discriminant, "_contribution", patched)
+    return calls
+
+
+def test_corrupt_transversal_element_fails_the_stitched_check(monkeypatch):
     form = discriminant_form(parse_lattice_spec("U(6)"))
-
-    def corrupt(solutions):
-        first = solutions[0]
-        return [(tuple(0 for _ in first[0]),) + first[1:]] + solutions[1:]
-
-    calls = _patch_first_block(monkeypatch, corrupt)
+    calls = _corrupt_first_contribution(monkeypatch)
     with pytest.raises(AssertionError, match="the stitched images do not preserve q and b"):
         aut_group(form)
     calls.clear()
@@ -90,8 +106,38 @@ def test_corrupt_block_solution_fails_the_stitched_check(monkeypatch):
         fqf_isomorphism(form, form)
 
 
-def test_repeated_block_solution_fails_the_distinctness_check(monkeypatch):
+def test_corrupt_transversal_element_of_one_block_fails_on_read(monkeypatch):
+    # one prime: the transversal elements are search leaves and are not
+    # checked when the chain is built, but every product is when read
+    form = discriminant_form(parse_lattice_spec("U(4)"))
+    _corrupt_first_contribution(monkeypatch)
+    group = aut_group(form)
+    with pytest.raises(AssertionError, match="the stitched images do not preserve q and b"):
+        group.elements
+
+
+def test_repeated_transversal_element_fails_the_distinctness_check(monkeypatch):
     form = discriminant_form(parse_lattice_spec("U(6)"))
-    _patch_first_block(monkeypatch, lambda solutions: solutions + solutions[:1])
+    _patch_first_level(monkeypatch, lambda level: level + level[:1])
     with pytest.raises(AssertionError, match="gave one element"):
         aut_group(form)
+
+
+def test_two_transversal_elements_of_one_coset_fail_on_read(monkeypatch):
+    """u_0 and u_0 v, for v in the next stabilizer, are distinct but lie in
+    one coset, so their products with the later levels collide."""
+    form = discriminant_form(parse_lattice_spec("U(2)+U(2)"))
+    (block,) = discriminant._primary_blocks(form, form)
+    ident, levels = discriminant._stabilizer_chain(form, block)
+    v = next(u for u in levels[1] if u != ident)
+
+    def same_coset(level):
+        twin = discriminant._matmul_mod(level[0], tuple(zip(*v)), form.orders)
+        assert twin not in level
+        return [level[0], twin] + level[2:]
+
+    _patch_first_level(monkeypatch, same_coset)
+    group = aut_group(form)
+    assert group.order() == 72
+    with pytest.raises(AssertionError, match="two products of transversal elements gave one element"):
+        group.elements

@@ -1,10 +1,11 @@
-"""aut_group's primary route keeps O(A, q) as its p-primary block solutions.
+"""aut_group's primary route keeps O(A, q) as a stabilizer chain of each
+p-primary block.
 
-Its order, membership and containment are read from the blocks, and its
-elements are stitched on first read.  These tests compare that group with
-its materialised copy and with the direct route, check that the counting
-paths of generic models stitch nothing, and check the direct mu_1 lift test
-against the induced map it replaced.
+Its order, membership and containment are read from the chains, and its
+elements are built as products and stitched on first read.  These tests
+compare that group with its materialised copy and with the direct route,
+check that the counting paths of generic models build no element, and check
+the direct mu_1 lift test against the induced map it replaced.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ from math import gcd
 
 import pytest
 from conftest import U, corpus, random_unimodular
-from test_aut_certified import _patch_first_block
+from test_aut_certified import _patch_first_level
 from test_fqf_products import SCALAR_RICH, SMALL, TIERS, scalar_isometries
 
 from cuspcount import counting, discriminant, intmat
@@ -97,24 +98,27 @@ def test_order_route_matches_the_sweep_on_the_materialised_group(label):
 
 
 @pytest.mark.parametrize("label", ["U(6)", "U(2)+U(6)", "U(2)+U(4)"])
-def test_dropping_a_block_solution_changes_the_order(label, monkeypatch):
+def test_dropping_a_transversal_element_changes_the_order(label, monkeypatch):
     form = discriminant_form(parse_lattice_spec(label))
     want = aut_group(form, method="direct").order()
     assert aut_group(form).order() == want
-    _patch_first_block(monkeypatch, lambda solutions: solutions[:-1])
+    _patch_first_level(monkeypatch, lambda level: level[:-1])
     assert aut_group(form).order() != want
 
 
 @pytest.fixture
 def stitches(monkeypatch):
+    """The names of the element-building steps called: _products, per block,
+    and _stitch."""
     calls = []
-    real = discriminant._stitch
+    for name in ("_products", "_stitch"):
+        real = getattr(discriminant, name)
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(discriminant, "_stitch", spy)
+        monkeypatch.setattr(discriminant, name, spy)
     return calls
 
 
@@ -134,7 +138,7 @@ HYPERBOLIC = [lat for lat in corpus() if signature(lat) == (1, lat.rank - 1)] + 
 ]
 
 
-def test_generic_counts_stitch_nothing(stitches):
+def test_generic_counts_build_no_element(stitches):
     unique = 0
     for lattice in HYPERBOLIC:
         model = K3Model.generic(lattice)
@@ -150,7 +154,7 @@ def test_generic_counts_stitch_nothing(stitches):
 def test_aut_command_still_stitches(stitches):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["aut", "U(6)"]) == 0
-    assert len(stitches) == 1
+    assert stitches == ["_products", "_products", "_stitch"]  # two primes
 
 
 def test_transported_full_group_is_the_target_group_without_stitching(stitches):

@@ -5,8 +5,9 @@ construction give.
 Each property runs on random tables with |A| <= 64 and on the discriminant
 forms of the ten fqf-groups benchmark tiers in random unimodular bases, each
 possibly negated.  The references live in conftest: the block search checked
-at every node, today's Fraction tables of a discriminant form and the
-Fraction validator of a q/b table.
+at every node, the full enumeration of each block that the stabilizer chain
+replaced, the Fraction tables of a discriminant form and the Fraction
+validator of a q/b table.
 """
 
 import random
@@ -18,6 +19,7 @@ from conftest import (
     random_even_lattice,
     random_unimodular,
     reference_form_tables,
+    reference_full_group,
     reference_image_assignments,
     reference_validate,
 )
@@ -29,6 +31,9 @@ from cuspcount.cli import parse_lattice_spec
 from cuspcount.discriminant import (
     FiniteQuadraticForm,
     FqfIsometry,
+    _combine,
+    _contribution,
+    _place_images,
     _prime_factors,
     _p_valuation,
     _span_elements,
@@ -75,45 +80,60 @@ def form_pairs(draw):
     return form, partner
 
 
-class _SearchSpy:
-    """Records the arguments and the solution sequence of every block search."""
+class _SetUpSpy:
+    """Records the target form and the block set-ups of every p-primary
+    search."""
 
     def __init__(self):
-        self.real = discriminant._image_assignments
+        self.real = discriminant._primary_blocks
         self.calls = []
 
-    def __call__(self, *args):
-        solutions = list(self.real(*args))
-        self.calls.append((args, solutions))
-        return iter(solutions)
+    def __call__(self, source, target):
+        blocks = list(self.real(source, target))
+        self.calls.append((target, blocks))
+        return iter(blocks)
 
 
-def _searches(form, partner):
-    spy = _SearchSpy()
+def _set_ups(run):
+    spy = _SetUpSpy()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(discriminant, "_image_assignments", spy)
-        aut_group(form, method="primary")
-        primary = len(spy.calls)
-        aut_group(form, method="direct")
-        fqf_isomorphism(form, partner)
-    return spy.calls, primary
+        mp.setattr(discriminant, "_primary_blocks", spy)
+        result = run()
+    return spy.calls, result
+
+
+def _reference_search(target, block):
+    return list(reference_image_assignments(target, block.pool, block.gen_orders, block.gen_q, block.gen_b))
 
 
 @SETTINGS
 @given(form_pairs())
 def test_search_yields_the_node_checked_sequence(pair):
-    calls, _ = _searches(*pair)
-    assert calls
-    for args, solutions in calls:
-        assert solutions == reference_image_assignments(*args)
+    form, partner = pair
+    calls, witness = _set_ups(lambda: fqf_isomorphism(form, partner))
+    ((target, blocks),) = calls
+    assert target == partner
+    firsts = []
+    for block in blocks:
+        want = _reference_search(target, block)
+        assert list(_place_images(target._n, block.candidates, block.gen_b, [])) == want
+        firsts.append(want[0])  # the forms are isomorphic
+    assert witness == _combine([_contribution(b, s, target) for b, s in zip(blocks, firsts)], target.orders)
+    pool = sorted(form.elements())
+    direct = [
+        FqfIsometry.from_images(form, images).matrix
+        for images in reference_image_assignments(form, pool, form.orders, form._q, form._b)
+    ]
+    assert [iso.matrix for iso in aut_group(form, method="direct").elements] == sorted(direct)
 
 
 @SETTINGS
 @given(form_pairs())
 def test_block_pools_are_the_sorted_spans(pair):
     form = pair[0]
-    calls, primary = _searches(*pair)
-    pools = [args[1] for args, _ in calls[:primary]]
+    calls, _ = _set_ups(lambda: aut_group(form, method="primary"))
+    ((_, blocks),) = calls
+    pools = [block.pool for block in blocks]
     orders = form.orders
     expected = []
     for p in _prime_factors(form.exponent()):
@@ -125,6 +145,16 @@ def test_block_pools_are_the_sorted_spans(pair):
                 hgens.append(tuple(h))
         expected.append(sorted(_span_elements(form, hgens)))
     assert pools == expected
+
+
+@SETTINGS
+@given(form_pairs())
+def test_chain_elements_are_the_full_enumeration(pair):
+    form = pair[0]
+    group = aut_group(form)
+    want = reference_full_group(form)
+    assert group.order() == len(want)
+    assert [iso.matrix for iso in group.elements] == want
 
 
 @SETTINGS

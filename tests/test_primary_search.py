@@ -17,13 +17,12 @@ from math import isqrt
 
 import pytest
 
-from conftest import U, corpus
+from conftest import U, corpus, reference_image_assignments
 from cuspcount import counting, genus
 from cuspcount.cli import parse_lattice_spec
 from cuspcount.counting import ur_example
 from cuspcount.discriminant import (
     _check_budget,
-    _image_assignments,
     _prime_factors,
     discriminant_form,
     fqf_isomorphism,
@@ -50,7 +49,7 @@ def reference_fqf_isomorphism(source, target):
         return ()
     pool = sorted(target.elements())
     # equal orders give equal exponents, so the source numerators apply
-    for images in _image_assignments(target, pool, source.orders, source._q, source._b):
+    for images in reference_image_assignments(target, pool, source.orders, source._q, source._b):
         k = len(images)
         return tuple(tuple(images[j][i] for j in range(k)) for i in range(k))
     return None
