@@ -827,6 +827,9 @@ class _FullGroup(FqfSubgroup):
     def order(self) -> int:
         return prod(len(level) for _, levels in self._chains for level in levels)
 
+    def __repr__(self):
+        return f"_FullGroup(orders={self.form.orders}, order={self.order()})"
+
     @functools.cached_property
     def elements(self) -> tuple:
         order = self.order()

@@ -3,16 +3,18 @@ quotients l^perp/Zl, transvections and the stabilizer structure of O(L)^l.
 
 Isotropic enumeration is height-bounded and every result is labelled with
 its window; the sets I^d(L) are infinite, so no output ever claims global
-completeness.  The window scan walks the first n-1 coordinates of a vector,
-at most (2h+1)^(n-1) of them, and solves the norm, a quadratic in the last
-coordinate, exactly with math.isqrt; the full norm is evaluated only on the
-vectors found.
+completeness.  The window scan walks the sign-normalised half of the
+(2h+1)^(n-1) prefixes of the first n-1 coordinates, keeping the partial
+norm and Gram products as running sums, and solves the norm, a quadratic in
+the last coordinate, exactly with math.isqrt.  Each vector found costs one
+more Gram product, which re-checks its norm and gives its divisor.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,9 +108,11 @@ def _last_coordinates(a: int, beta: int, q: int, h: int):
 
 
 def _tagged(lattice: EvenLattice, v: tuple) -> IsotropicVector:
-    if lattice.norm(v) != 0:
+    """v with its divisor gcd(G v); v . G v = 0 re-checks the norm."""
+    w = intmat.matvec(lattice.gram, v)
+    if sum(map(operator.mul, v, w)) != 0:
         raise AssertionError(f"window scan produced {list(v)}, which is not isotropic")
-    return IsotropicVector(v, divisor(lattice, v))
+    return IsotropicVector(v, intmat.vec_gcd(w))
 
 
 def _check_height_bound(height_bound: int) -> None:
@@ -126,8 +130,15 @@ def _scan_isotropic(lattice: EvenLattice, height_bound: int):
     prefixes whose first nonzero entry is positive are walked (the zero
     prefix gives (0, ..., 0, 1) when a = 0), so each vector comes out once
     and sign-normalised.  Prefixes come in lexicographic order and the t of
-    a prefix ascending, so the vectors do too.  Q is quadratic and beta
-    affine in z, with coefficients computed once per y.
+    a prefix ascending, so the vectors do too.
+
+    The y are walked depth first.  Setting entry k to c adds
+    c (2 lin[k] + G[k][k] c) to y^T G y, where lin[j] = sum_i G[j][i] y_i
+    over the entries set so far, adds c G[k][j] to each later lin[j] and
+    takes c into gcd(y), so a prefix costs O(n) additions.  With
+    d = G[n-2][n-2] and e = G[n-1][n-2], Q = y^T G y + z (2 lin[n-2] + d z)
+    and beta = lin[n-1] + e z.  gcd(y) = 0 marks the zero prefix, and
+    gcd(gcd(y), z, t) = 1 is primitivity.
     """
     _check_height_bound(height_bound)
     n = lattice.rank
@@ -137,21 +148,31 @@ def _scan_isotropic(lattice: EvenLattice, height_bound: int):
     g = lattice.gram
     head = n - 2
     a, d, e = g[-1][-1], g[-2][-2], g[-1][-2]
-    window = range(-h, h + 1)
+    window, positive = range(-h, h + 1), range(1, h + 1)
     if a == 0:
         yield _tagged(lattice, (0,) * (n - 1) + (1,))
-    for y in itertools.product(window, repeat=head):
-        lead = next((c for c in y if c), 0)
-        if lead < 0:
-            continue  # -v has the prefix -y
-        q_y = sum(y[i] * g[i][j] * y[j] for i in range(head) for j in range(head))
-        m_y = sum(g[-2][i] * y[i] for i in range(head))
-        beta_y = sum(g[-1][i] * y[i] for i in range(head))
-        for z in window if lead else range(1, h + 1):
-            for t in _last_coordinates(a, beta_y + e * z, q_y + z * (2 * m_y + d * z), h):
-                v = y + (z, t)
-                if intmat.vec_gcd(v) == 1:
-                    yield _tagged(lattice, v)
+
+    def walk(y, q_y, lin, div):
+        # lin holds lin[j] for j >= len(y)
+        k = len(y)
+        if k == head:
+            m_y, beta_y = lin
+            for z in window if div else positive:
+                for t in _last_coordinates(a, beta_y + e * z, q_y + z * (2 * m_y + d * z), h):
+                    if math.gcd(div, z, t) == 1:
+                        yield _tagged(lattice, y + (z, t))
+            return
+        g_kk, row = g[k][k], g[k][k + 1 :]
+        lin_k, rest = lin[0], lin[1:]
+        for c in window if div else range(h + 1):
+            yield from walk(
+                y + (c,),
+                q_y + c * (2 * lin_k + g_kk * c),
+                [l + c * r for l, r in zip(rest, row)],
+                math.gcd(div, c),
+            )
+
+    yield from walk((), 0, [0] * n, 0)
 
 
 def enumerate_isotropic(lattice: EvenLattice, height_bound: int) -> list:

@@ -148,11 +148,32 @@ def indefinite_grams(draw):
 @example([[2, 0, 0], [0, -2, 0], [0, 0, 2]], 2)  # beta^2 - aQ < 0 at x' = (1, 0)
 @example([[8, 0], [0, -2]], 1)  # both roots t = +-2 outside the window
 @example([[0, 3, 0, 0], [3, 0, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]], 4)  # U(3)+A(2)
+@example([[0, 2], [2, 0]], 3)  # rank 2: empty head, zero prefix only
+@example([[2, 1], [1, -4]], 3)  # rank 2 with a != 0 and e != 0
+@example([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, -2, 0, 0], [0, 0, 0, -2, 1], [0, 0, 0, 1, -2]], 3)  # A(2) last
+@example([[-2, 1, 0, 0], [1, -2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 3)  # U last: a = d = 0, e != 0
+@example([[2, 0, 0, 0, 0], [0, -2, 1, 0, 0], [0, 1, -2, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]], 3)  # <2>+A(2)+U
 def test_prefix_scan_matches_box_scan(gram, h):
     lattice = make_lattice(gram)
     h = min(h, 3) if lattice.rank == 5 else h  # keeps the reference box at <= 7^5 points
     got = [(iv.vector, iv.divisor) for iv in enumerate_isotropic(lattice, h)]
     assert got == reference_enumerate(lattice, h)
+
+
+def test_scan_rechecks_the_norm(monkeypatch):
+    """A root solver that returns only non-roots must trip the norm re-check
+    of every vector the scan yields, before section_vector can return one."""
+
+    def non_roots(a, beta, q, h):
+        return [t for t in range(-h, h + 1) if a * t * t + 2 * beta * t + q]
+
+    monkeypatch.setattr(isotropic, "_last_coordinates", non_roots)
+    lattice = parse_lattice_spec("U+A(2)")
+    assert lattice.gram[-1][-1] != 0  # no zero-prefix vector before the walk
+    with pytest.raises(AssertionError, match="not isotropic"):
+        enumerate_isotropic(lattice, 2)
+    with pytest.raises(AssertionError, match="not isotropic"):
+        section_vector(lattice, 2)
 
 
 class TestLastCoordinates:

@@ -93,6 +93,14 @@ def test_transported_full_group_is_the_target_group(label):
     assert moved_forms
 
 
+def test_repr_builds_no_element():
+    big = aut_group(discriminant_form(parse_lattice_spec("U(2)+U(2)+U(2)+U(2)")))
+    assert "348364800" in repr(big)
+    small = aut_group(discriminant_form(parse_lattice_spec("U(6)")))
+    assert repr(small) == "_FullGroup(orders=(6, 6), order=8)"
+    assert "elements" not in vars(small)
+
+
 @pytest.mark.parametrize("label", ["U(3)+U(3)+U(3)", "U(2)+U(2)+U(2)+U(2)"])
 def test_groups_beyond_the_cap_refuse_to_build_elements(label, monkeypatch):
     built = []
