@@ -270,15 +270,6 @@ class FiniteQuadraticForm:
         """N * b(x, y) mod N."""
         return sum(map(operator.mul, self._pairing(x), y)) % self._n
 
-    def negated(self) -> "FiniteQuadraticForm":
-        n = self._n
-        return FiniteQuadraticForm._from_numerators(
-            self.orders,
-            tuple((-q) % (2 * n) for q in self._q),
-            tuple(tuple((-b) % n for b in row) for row in self._b),
-            n,
-        )
-
     @staticmethod
     def trivial() -> "FiniteQuadraticForm":
         return FiniteQuadraticForm((), (), ())

@@ -80,10 +80,7 @@ def xgcd(a: int, b: int):
 
 
 def vec_gcd(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*vec)
 
 
 def det(mat) -> int:

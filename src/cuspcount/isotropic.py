@@ -8,13 +8,22 @@ completeness.  The window scan walks the sign-normalised half of the
 norm and Gram products as running sums, and solves the norm, a quadratic in
 the last coordinate, exactly with math.isqrt.  Each vector found costs one
 more Gram product, which re-checks its norm and gives its divisor.
+
+The queries on one lattice share their work.  enumerate_isotropic and
+section_vector read one lazy window per (Gram, h), which advances the scan
+only as far as its furthest reader has gone, and quotient_lattice keeps its
+last results.  Both memos hold at most four entries, and threads may share
+them.  A scan that raises is not kept: every reader that reaches the
+failure raises it, and every later call scans again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -175,6 +184,48 @@ def _scan_isotropic(lattice: EvenLattice, height_bound: int):
     yield from walk((), 0, [0] * n, 0)
 
 
+class _Window:
+    """A window scan and the vectors it has produced so far.
+
+    Iterating replays those vectors, then advances the scan, one reader at
+    a time, only as far as the reader goes.  A scan that raises keeps its
+    exception, which every reader that reaches it raises again, and clears
+    the window memo, so that a later call starts a new scan.
+    """
+
+    def __init__(self, scan):
+        self._scan = scan
+        self._found = []
+        self._error = None
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        found, i = self._found, 0
+        while True:
+            if i == len(found):
+                with self._lock:
+                    if i == len(found):
+                        if self._error is not None:
+                            raise self._error
+                        try:
+                            found.append(next(self._scan))
+                        except StopIteration:
+                            return
+                        except BaseException as error:
+                            self._error = error
+                            _window.cache_clear()
+                            raise
+            yield found[i]
+            i += 1
+
+
+@functools.lru_cache(maxsize=4)
+def _window(lattice: EvenLattice, height_bound: int) -> _Window:
+    """The shared window of (lattice, h); a bad h raises and is not cached."""
+    _check_height_bound(height_bound)
+    return _Window(_scan_isotropic(lattice, height_bound))
+
+
 def enumerate_isotropic(lattice: EvenLattice, height_bound: int) -> list:
     """Primitive isotropic vectors with max |coordinate| <= height_bound.
 
@@ -182,17 +233,19 @@ def enumerate_isotropic(lattice: EvenLattice, height_bound: int) -> list:
     their divisors, in lexicographic order.  Definite lattices have none.
     The scan walks the sign-normalised half of the (2h+1)^(n-1) prefixes
     and solves for the last coordinate exactly (see _scan_isotropic); the
-    norm of each vector found is checked again before it is returned.
+    norm of each vector found is checked again before it is returned.  The
+    list is a fresh copy of the lattice's shared window.
     """
-    return list(_scan_isotropic(lattice, height_bound))
+    return list(_window(lattice, height_bound))
 
 
 def section_vector(lattice: EvenLattice, height_bound: int) -> Optional[tuple]:
     """The first divisor-1 vector of enumerate_isotropic, or None.
 
-    The scan stops at that vector.
+    The shared window is scanned only up to that vector; a later read of
+    the same window resumes the scan there.
     """
-    return next((iv.vector for iv in _scan_isotropic(lattice, height_bound) if iv.divisor == 1), None)
+    return next((iv.vector for iv in _window(lattice, height_bound) if iv.divisor == 1), None)
 
 
 def _as_vector(lattice, l):
@@ -260,7 +313,11 @@ def split_from_pair(lattice: EvenLattice, l, m) -> HyperbolicSplit:
 
 def quotient_lattice(lattice: EvenLattice, l) -> EvenLattice:
     """The even lattice l^perp / Zl, on a canonical integral basis."""
-    v = _as_vector(lattice, l)
+    return _quotient(lattice, _as_vector(lattice, l))
+
+
+@functools.lru_cache(maxsize=4)
+def _quotient(lattice: EvenLattice, v: tuple) -> EvenLattice:
     perp = intmat.kernel_basis((intmat.matvec(lattice.gram, v),))
     coords = intmat.solve_integer(perp, v)
     if coords is None:

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from cuspcount import intmat
-from cuspcount.discriminant import _group_tables, _p_valuation
+from cuspcount.discriminant import FiniteQuadraticForm, _group_tables, _p_valuation
 from cuspcount.errors import LatticeError
 from cuspcount.lattices import direct_sum, make_lattice, named_lattice
 
@@ -82,6 +82,15 @@ def random_unimodular(n: int, rng, steps: int = 12):
         c = rng.randint(-3, 3)
         m[i] = [x + c * y for x, y in zip(m[i], m[j])]
     return intmat.freeze(m)
+
+
+def negated(form) -> FiniteQuadraticForm:
+    """The form (A, -q) on the same generators."""
+    return FiniteQuadraticForm(
+        form.orders,
+        [(-q) % 2 for q in form.q_diag],
+        [[(-b) % 1 for b in row] for row in form.b_mat],
+    )
 
 
 def smith_diagonal(mat) -> tuple:

@@ -9,6 +9,7 @@ see the construction-time and read-time checks fire.
 import functools
 
 import pytest
+from conftest import negated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,22 +24,22 @@ LABELS = tuple(dict.fromkeys(SMALL + SCALAR_RICH + TWO_PRIMES))
 
 
 @functools.cache
-def form_of(label, negated):
+def form_of(label, negate):
     form = discriminant_form(parse_lattice_spec(label))
-    return form.negated() if negated else form
+    return negated(form) if negate else form
 
 
 @functools.cache
-def direct_elements(label, negated):
-    return aut_group(form_of(label, negated), method="direct").elements
+def direct_elements(label, negate):
+    return aut_group(form_of(label, negate), method="direct").elements
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.sampled_from(LABELS), st.booleans())
-def test_primary_route_matches_direct_and_validates(label, negated):
-    form = form_of(label, negated)
+def test_primary_route_matches_direct_and_validates(label, negate):
+    form = form_of(label, negate)
     group = aut_group(form)
-    assert group.elements == direct_elements(label, negated)
+    assert group.elements == direct_elements(label, negate)
     for iso in group.elements:
         again = FqfIsometry(form, iso.matrix)  # full validation
         assert again == iso

@@ -14,7 +14,7 @@ import random
 from math import gcd
 
 import pytest
-from conftest import U, corpus, random_unimodular
+from conftest import U, corpus, negated, random_unimodular
 from test_aut_certified import _patch_first_level
 from test_fqf_products import SCALAR_RICH, SMALL, TIERS, scalar_isometries
 
@@ -48,7 +48,7 @@ FORMS = [(label, discriminant_form(parse_lattice_spec(label))) for label in LABE
 
 def _other_form(form):
     """A form on the same group but not equal to form, if there is one."""
-    other = form.negated()
+    other = negated(form)
     return other if other != form else None
 
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from conftest import U, classify, diag, random_unimodular, sums
 
-from cuspcount import intmat
+from cuspcount import intmat, isotropic
 from cuspcount.counting import derive_orbit_data
 from cuspcount.discriminant import (
     _disc_data,
@@ -16,7 +16,7 @@ from cuspcount.discriminant import (
     overlattice,
 )
 from cuspcount.genus import GenusQuery, equivalent_rank2, genus_representatives_rank2
-from cuspcount.isotropic import enumerate_isotropic, quotient_lattice
+from cuspcount.isotropic import enumerate_isotropic, quotient_lattice, section_vector
 from cuspcount.lattices import (
     EvenLattice,
     LatticeIsometry,
@@ -300,6 +300,26 @@ class TestConcurrentUse:
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(work, range(8)))
+        assert all(r == results[0] for r in results)
+
+    def test_parallel_window_queries_agree(self):
+        # the window and quotient memos are shared by all threads; clearing
+        # them in half the workers makes the readers of a new window race
+        from concurrent.futures import ThreadPoolExecutor
+
+        lattice = sums(U(1), named_lattice("A", (3,)))
+
+        def work(k):
+            if k % 2 == 0:
+                isotropic._window.cache_clear()
+                isotropic._quotient.cache_clear()
+            window = enumerate_isotropic(lattice, 4)
+            section = section_vector(lattice, 4)
+            return window, section, quotient_lattice(lattice, section).gram
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, range(16)))
+        assert results[0][1] == next(iv.vector for iv in results[0][0] if iv.divisor == 1)
         assert all(r == results[0] for r in results)
 
 

@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import U, classify, diag, random_even_lattice, sums
+from conftest import U, classify, diag, negated, random_even_lattice, sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -409,7 +409,7 @@ class TestComplementFormRelation:
             sub_form = discriminant_form(EvenLattice(((ambient.norm(v),),)))
             comp, _ = orthogonal_complement(ambient, emb)
             comp_form = discriminant_form(comp)
-            assert fqf_isomorphism(sub_form, comp_form.negated()) is not None
+            assert fqf_isomorphism(sub_form, negated(comp_form)) is not None
             checked += 1
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from conftest import (
     corpus,
+    negated,
     random_even_lattice,
     random_unimodular,
     reference_form_tables,
@@ -76,7 +77,7 @@ def form_pairs(draw):
         except LatticeError:  # b has a radical
             assume(False)
     if draw(st.booleans()):
-        form, partner = form.negated(), partner.negated()
+        form, partner = negated(form), negated(partner)
     return form, partner
 
 

@@ -34,6 +34,18 @@ def test_cli_matches_snapshot(case, monkeypatch):
     assert err.getvalue() == case["stderr"]
 
 
+def test_snapshot_in_one_process_forward_and_reversed(monkeypatch):
+    """Every command, run after all the others in one interpreter, in both
+    orders: no cache shared across queries may change an answer."""
+    monkeypatch.delenv("CUSPCOUNT_BUDGET", raising=False)
+    for case in CASES + CASES[::-1]:
+        argv = [arg.replace("{golden}", str(GOLDEN)) for arg in case["argv"]]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])
+
+
 def test_snapshot_covers_every_subcommand():
     subcommands = {case["argv"][0] for case in CASES}
     assert subcommands == {

@@ -47,6 +47,15 @@ def test_snf_diagonal_unimodular_invariance(rng):
         assert smith_diagonal(mat) == smith_diagonal(twisted)
 
 
+def test_vec_gcd():
+    assert intmat.vec_gcd(()) == 0
+    assert intmat.vec_gcd((0, 0)) == 0
+    assert intmat.vec_gcd((-4, 6, -10)) == 2
+    assert intmat.vec_gcd((-7,)) == 7
+    assert intmat.vec_gcd((0, -1, 0)) == 1
+    assert intmat.vec_gcd((12, 1, -18)) == 1
+
+
 def test_det_against_fraction_gauss(rng):
     for _ in range(80):
         n = rng.randint(1, 5)

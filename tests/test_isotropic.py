@@ -167,6 +167,7 @@ def test_scan_rechecks_the_norm(monkeypatch):
     def non_roots(a, beta, q, h):
         return [t for t in range(-h, h + 1) if a * t * t + 2 * beta * t + q]
 
+    isotropic._window.cache_clear()  # a shared window read before would skip the scan
     monkeypatch.setattr(isotropic, "_last_coordinates", non_roots)
     lattice = parse_lattice_spec("U+A(2)")
     assert lattice.gram[-1][-1] != 0  # no zero-prefix vector before the walk

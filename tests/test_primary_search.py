@@ -17,7 +17,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import U, corpus, reference_image_assignments
+from conftest import U, corpus, negated, reference_image_assignments
 from cuspcount import counting, genus
 from cuspcount.cli import parse_lattice_spec
 from cuspcount.counting import ur_example
@@ -148,7 +148,7 @@ def corpus_forms():
         else:
             lattice_b = lattice
         for form in (discriminant_form(lattice), discriminant_form(lattice_b)):
-            forms += [form, form.negated()]
+            forms += [form, negated(form)]
     return tuple(dict.fromkeys(forms))
 
 

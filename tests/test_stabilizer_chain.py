@@ -14,7 +14,7 @@ import random
 from math import prod
 
 import pytest
-from conftest import random_unimodular, reference_full_group
+from conftest import negated, random_unimodular, reference_full_group
 from test_aut_certified import TWO_PRIMES
 from test_fqf_products import SCALAR_RICH, SMALL, TIERS
 
@@ -67,10 +67,10 @@ def oracle_matrices(label):
     return direct
 
 
-@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("negate", [False, True])
 @pytest.mark.parametrize("label", LABELS)
-def test_chain_matches_the_direct_route_and_the_full_enumeration(label, negated):
-    form = form_of(label).negated() if negated else form_of(label)
+def test_chain_matches_the_direct_route_and_the_full_enumeration(label, negate):
+    form = negated(form_of(label)) if negate else form_of(label)
     group = aut_group(form, budget=10**5)
     want = oracle_matrices(label)
     assert group.order() == len(want)
