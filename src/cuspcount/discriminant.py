@@ -7,6 +7,12 @@ through exact Fractions in canonical residues (q in [0,2), b in [0,1));
 inside it holds integer numerators over the exponent N, q * N mod 2N and
 b * N mod N.  The discriminant form of a lattice is computed in those
 integers, and every validation, enumeration and search loop works on them.
+
+An element of O(A, q) that comes from outside a closure is checked for q
+and b once: a user or natural_map generator, a search leaf, a stitched
+generator and a transported element.  Elements made inside one form from
+checked ones are built with FqfIsometry._certified and not checked again:
+products (_matmul_mod), compose and inverse, the identity and -1.
 """
 
 from __future__ import annotations
@@ -410,34 +416,32 @@ class FqfIsometry:
         # self after other
         if other.form != self.form:
             raise NotIsometry("cannot compose automorphisms of different forms")
-        if not self.form.ngens:
-            return self
-        return FqfIsometry(self.form, intmat.matmul(self.matrix, other.matrix))
+        cols = tuple(zip(*other.matrix))
+        return FqfIsometry._certified(self.form, _matmul_mod(self.matrix, cols, self.form.orders))
 
     def inverse(self) -> "FqfIsometry":
         """g^(n-1), where n is the order of g (see _inverse_mod)."""
-        return FqfIsometry(self.form, _inverse_mod(self.matrix, self.form.orders))
+        return FqfIsometry._certified(self.form, _inverse_mod(self.matrix, self.form.orders))
 
     def is_identity(self) -> bool:
         return self == FqfIsometry.identity(self.form)
 
     @staticmethod
     def identity(form: FiniteQuadraticForm) -> "FqfIsometry":
-        k = form.ngens
-        return FqfIsometry(form, intmat.identity(k))
+        return FqfIsometry._certified(form, intmat.identity(form.ngens))
 
     @staticmethod
     def minus_identity(form: FiniteQuadraticForm) -> "FqfIsometry":
+        """-1, reduced row by row: it is 1 on a 2-elementary form."""
         k = form.ngens
-        return FqfIsometry(
-            form, tuple(tuple(-1 if i == j else 0 for j in range(k)) for i in range(k))
-        )
+        minus = tuple(tuple(d - 1 if i == j else 0 for j in range(k)) for i, d in enumerate(form.orders))
+        return FqfIsometry._certified(form, minus)
 
     @classmethod
     def _certified(cls, form: FiniteQuadraticForm, matrix: Matrix) -> "FqfIsometry":
         """An element of O(A, q) from its reduced matrix, without
-        __post_init__: only for aut_group's primary route, which has
-        certified the matrix (see aut_group)."""
+        __post_init__: for an element made inside one form from checked
+        ones (see the module docstring)."""
         iso = object.__new__(cls)
         object.__setattr__(iso, "form", form)
         object.__setattr__(iso, "matrix", matrix)
@@ -466,12 +470,13 @@ class FqfSubgroup:
         return iter(self.elements)
 
     def __eq__(self, other):
+        # on orders and membership, so that a lazy _FullGroup builds no element
         if not isinstance(other, FqfSubgroup):
             return NotImplemented
-        return self.form == other.form and self.elements == other.elements
+        return self.order() == other.order() and self.is_subgroup_of(other)
 
     def __hash__(self):
-        return hash((self.form, self.elements))
+        return hash((self.form, self.order()))
 
     def _generator_matrices(self):
         """The reduced matrices of a generating set: here, of every element."""
@@ -492,9 +497,8 @@ class FqfSubgroup:
 def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry]) -> FqfSubgroup:
     """Close a generator list under composition (finite, so inverses come free).
 
-    The closure multiplies reduced matrices; each product that is new to it
-    is built through the validating FqfIsometry constructor, so every
-    element is checked in full once, not once per generator that reaches it.
+    The closure multiplies reduced matrices.  The generators were checked
+    when they were built, so each product is built certified.
     """
     gens = tuple(generators)
     for g in gens:
@@ -502,29 +506,29 @@ def fqf_subgroup(form: FiniteQuadraticForm, generators: Iterable[FqfIsometry]) -
             raise NotIsometry("generator acts on a different form")
     orders = form.orders
     gen_mats = [g.matrix for g in gens]
-    ident = FqfIsometry.identity(form)
-    found = {ident.matrix: ident}
-    queue = [ident.matrix]
+    ident = intmat.identity(form.ngens)
+    found = {ident}
+    queue = [ident]
     while queue:
-        x = queue.pop()
-        x_cols = tuple(zip(*x))
+        x_cols = tuple(zip(*queue.pop()))
         for g in gen_mats:
             y = _matmul_mod(g, x_cols, orders)
             if y not in found:
                 if len(found) >= MAX_SUBGROUP_ORDER:
                     raise BudgetExceeded("subgroup closure exceeded the cap")
-                found[y] = FqfIsometry(form, y)
+                found.add(y)
                 queue.append(y)
-    elements = tuple(found[m] for m in sorted(found))
-    return FqfSubgroup(form, elements)
+    return FqfSubgroup(form, tuple(FqfIsometry._certified(form, m) for m in sorted(found)))
 
 
 def trivial_subgroup(form: FiniteQuadraticForm) -> FqfSubgroup:
-    return fqf_subgroup(form, ())
+    return FqfSubgroup(form, (FqfIsometry.identity(form),))
 
 
 def plus_minus_subgroup(form: FiniteQuadraticForm) -> FqfSubgroup:
-    return fqf_subgroup(form, (FqfIsometry.minus_identity(form),))
+    """{1, -1}, or {1} when -1 = 1."""
+    pm = {iso.matrix: iso for iso in (FqfIsometry.identity(form), FqfIsometry.minus_identity(form))}
+    return FqfSubgroup(form, tuple(pm[m] for m in sorted(pm)))
 
 
 def _span_elements(form: FiniteQuadraticForm, gens) -> set:
@@ -597,8 +601,6 @@ def _place_images(n, candidates, gen_b, images):
 
 
 def _aut_direct(form: FiniteQuadraticForm) -> list:
-    if form.is_trivial():
-        return [FqfIsometry.identity(form)]
     candidates = _candidates(form, sorted(form.elements()), form.orders, form._q)
     return [
         FqfIsometry.from_images(form, images)
@@ -768,9 +770,8 @@ def _form_defect(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matri
 
 
 def _assert_keeps_form(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrices):
-    """Stitched elements and products of isometries keep q and b, because
-    the p-parts are orthogonal and isometries compose; that is still
-    asserted, element by element."""
+    """Stitched and transported maps keep q and b, because the p-parts are
+    orthogonal and isometries compose; that is still asserted, map by map."""
     if any(_form_defect(source, target, m) for m in matrices):
         raise AssertionError("the stitched images do not preserve q and b")
 
@@ -793,25 +794,23 @@ class _FullGroup(FqfSubgroup):
     stitched with the identity contribution e_q of every other block,
     gives a generating set of O(A, q) (_generator_matrices).
 
-    Elements are built on first read: the products of each block
-    (_products), stitched across blocks, asserted to keep q and b, to be
-    distinct and to number order(), sorted, and built by `build`:
-    FqfIsometry._certified for aut_group's chains, the validating
-    FqfIsometry for conjugated ones.  A group with more than
+    Elements are built on first read, certified: the generators are
+    asserted to keep q and b, for one block too, and their products
+    (_products, stitched across blocks when there are several) to be
+    distinct and to number order(), then sorted.  A group with more than
     MAX_SUBGROUP_ORDER elements raises BudgetExceeded before it builds any.
 
     Two checks run when it is built.  The elements of each level are
     distinct.  And with several blocks, each generator keeps q and b.
     """
 
-    def __init__(self, form: FiniteQuadraticForm, chains: list, build=FqfIsometry._certified):
+    def __init__(self, form: FiniteQuadraticForm, chains: list):
         for _, levels in chains:
             for level in levels:
                 if len(set(level)) != len(level):
                     raise AssertionError("two transversal elements gave one element")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_chains", chains)
-        object.__setattr__(self, "_build", build)
         if len(chains) > 1:
             _assert_keeps_form(form, form, self._generator_matrices())
 
@@ -826,13 +825,13 @@ class _FullGroup(FqfSubgroup):
         order = self.order()
         if order > MAX_SUBGROUP_ORDER:
             raise BudgetExceeded(f"|O(A, q)| = {order} exceeds the cap {MAX_SUBGROUP_ORDER} on built elements")
-        orders = self.form.orders
-        blocks = [_products(ident, levels, orders) for ident, levels in self._chains]
-        matrices = sorted(_stitch(blocks, orders))
-        _assert_keeps_form(self.form, self.form, matrices)
+        form = self.form
+        _assert_keeps_form(form, form, self._generator_matrices())
+        blocks = [_products(ident, levels, form.orders) for ident, levels in self._chains]
+        matrices = sorted(blocks[0] if len(blocks) == 1 else _stitch(blocks, form.orders))
         if len(matrices) != order or any(a == b for a, b in zip(matrices, matrices[1:])):
             raise AssertionError("two products of transversal elements gave one element")
-        return tuple(self._build(self.form, matrix) for matrix in matrices)
+        return tuple(FqfIsometry._certified(form, matrix) for matrix in matrices)
 
     def _generator_matrices(self):
         """Each transversal element other than the identity, stitched with
@@ -867,9 +866,9 @@ def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: s
     The primary route builds its elements with FqfIsometry._certified.  A
     transversal element is a search leaf: it matched element orders, q and
     every pairwise b, so it is a well-defined map on A_p that keeps b; b is
-    nondegenerate, so it is injective and an automorphism of A_p.  Products
-    and direct sums of such maps are well-defined automorphisms of A; each
-    one is still asserted to keep q and b, and no two to be equal.
+    nondegenerate, so it is injective and an automorphism of A_p.  Direct
+    sums and products of such maps are automorphisms of A; each generator
+    is still asserted to keep q and b, and no two elements to be equal.
     """
     _check_budget(form.order(), budget)
     if method == "direct":
@@ -1109,8 +1108,9 @@ def transport_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubg
     group, without an isomorphism search.  psi is an automorphism of the
     group sum_i Z/d_i of both forms, so _inverse_mod inverts it and
     _matmul_mod composes with it.  psi O(A_src) psi^-1 is O(A_tgt): the
-    full group moves as its conjugated transversal elements, and the
-    elements built from them are validated when they are read.
+    full group moves as its conjugated transversal elements, checked as
+    generators when its elements are read; any other moved element is
+    checked as it is built.
     """
     source = sub.form
     if source == target:
@@ -1131,6 +1131,6 @@ def transport_subgroup(sub: FqfSubgroup, target: FiniteQuadraticForm) -> FqfSubg
     if isinstance(sub, _FullGroup):
         # the identity contributions are scalars, which conjugation keeps
         chains = [(ident, [[conjugate(u) for u in level] for level in levels]) for ident, levels in sub._chains]
-        return _FullGroup(target, chains, FqfIsometry)
+        return _FullGroup(target, chains)
     moved = sorted(conjugate(g.matrix) for g in sub.elements)
     return FqfSubgroup(target, tuple(FqfIsometry(target, matrix) for matrix in moved))

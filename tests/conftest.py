@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from cuspcount import intmat
-from cuspcount.discriminant import FiniteQuadraticForm, _group_tables, _p_valuation
+from cuspcount.discriminant import FiniteQuadraticForm, FqfIsometry, FqfSubgroup, _group_tables, _p_valuation
 from cuspcount.errors import LatticeError
 from cuspcount.lattices import direct_sum, make_lattice, named_lattice
 
@@ -233,6 +233,24 @@ def reference_full_group(form) -> list:
         tuple(tuple(sum(entries) % d for entries in zip(*rows)) for d, *rows in zip(orders, *combo))
         for combo in itertools.product(*blocks)
     )
+
+
+def reference_subgroup(form, generators) -> FqfSubgroup:
+    """The closure of the generators under intmat.matmul, each new product
+    built through the validating FqfIsometry constructor: the route
+    fqf_subgroup took before it built its products certified."""
+    gens = tuple(generators)
+    ident = FqfIsometry(form, intmat.identity(form.ngens))
+    seen = {ident}
+    queue = [ident]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = FqfIsometry(form, intmat.matmul(g.matrix, x.matrix))
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return FqfSubgroup(form, tuple(sorted(seen, key=lambda iso: iso.matrix)))
 
 
 def reference_form_tables(lattice) -> tuple:

@@ -1,9 +1,10 @@
-"""The primary route of aut_group certifies each element once, from the
-p-primary searches that find its transversal elements and the q/b check of
-every product, and builds it without FqfIsometry's validation.  These tests
-compare it with the direct route, validate every element in full again, pin
-that the route validates none itself, and break one transversal element to
-see the construction-time and read-time checks fire.
+"""The primary route of aut_group certifies its elements on their
+generators: the p-primary searches find the transversal elements, each
+generator is checked for q and b, and the products are built without
+FqfIsometry's validation.  These tests compare it with the direct route,
+validate every element in full again, pin that the route validates none
+itself, and break one transversal element to see the construction-time and
+read-time checks fire.
 """
 
 import functools
@@ -58,6 +59,7 @@ def test_primary_route_validates_no_element(label, monkeypatch):
 
     monkeypatch.setattr(FqfIsometry, "__post_init__", counting)
     group = aut_group(form)
+    group.elements
     assert validated == []
     assert group.order() == len(aut_group(form, method="direct").elements)
     assert validated  # the direct route still validates each element
@@ -109,7 +111,7 @@ def test_corrupt_transversal_element_fails_the_stitched_check(monkeypatch):
 
 def test_corrupt_transversal_element_of_one_block_fails_on_read(monkeypatch):
     # one prime: the transversal elements are search leaves and are not
-    # checked when the chain is built, but every product is when read
+    # checked when the chain is built, but every generator is when read
     form = discriminant_form(parse_lattice_spec("U(4)"))
     _corrupt_first_contribution(monkeypatch)
     group = aut_group(form)

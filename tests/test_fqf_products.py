@@ -1,18 +1,23 @@
-"""Group products on reduced matrices against the compose-based references.
+"""Group products on reduced matrices against the validating references.
 
 double_coset_count answers from group orders when a factor is central and
 otherwise sweeps reduced matrices; fqf_subgroup multiplies reduced
-matrices; FqfIsometry.inverse takes powers.  The references below are the
-compose-and-validate sweep, closure and element-enumerating inverse.
+matrices and builds its products certified; FqfIsometry.inverse takes
+powers; compose, the identity, -1 and {+-1} are built certified.  The
+references multiply with intmat.matmul and validate each product (the
+sweep, and the closure conftest.reference_subgroup); the inverse
+enumerates A; the scalars go through the validating constructor.
 """
 
 import pytest
-from hypothesis import given, settings
+from conftest import reference_subgroup
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspcount import discriminant
+from cuspcount import discriminant, intmat
 from cuspcount.cli import parse_lattice_spec
 from cuspcount.discriminant import (
+    FiniteQuadraticForm,
     FqfIsometry,
     FqfSubgroup,
     _inverse_mod,
@@ -25,7 +30,8 @@ from cuspcount.discriminant import (
     plus_minus_subgroup,
     trivial_subgroup,
 )
-from cuspcount.errors import NotIsometry
+from cuspcount.errors import LatticeError, NotIsometry
+from test_discriminant import consistent_tables
 
 # the ten fqf-groups benchmark tiers, in the standard basis, plus U(3)+U(3)
 TIERS = (
@@ -60,6 +66,11 @@ SMALL = (
 SCALAR_RICH = ("diag(60)", "diag(2,-30)")
 
 
+def validated_product(a, b) -> FqfIsometry:
+    """a after b, by intmat.matmul and the validating constructor."""
+    return FqfIsometry(a.form, intmat.matmul(a.matrix, b.matrix))
+
+
 def reference_double_coset_count(left, ambient, right) -> int:
     visited = set()
     count = 0
@@ -68,25 +79,10 @@ def reference_double_coset_count(left, ambient, right) -> int:
             continue
         count += 1
         for l in left.elements:
-            lx = l.compose(x)
+            lx = validated_product(l, x)
             for r in right.elements:
-                visited.add(lx.compose(r))
+                visited.add(validated_product(lx, r))
     return count
-
-
-def reference_subgroup(form, generators) -> FqfSubgroup:
-    gens = tuple(generators)
-    ident = FqfIsometry.identity(form)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = g.compose(x)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return FqfSubgroup(form, tuple(sorted(seen, key=lambda iso: iso.matrix)))
 
 
 def reference_inverse(iso) -> FqfIsometry:
@@ -188,9 +184,9 @@ class TestClosure:
             first_block_image(lattice),
             ambient.elements[1 :: max(1, ambient.order() // 5)],
         ):
-            assert fqf_subgroup(form, gens) == reference_subgroup(form, gens)
+            assert fqf_subgroup(form, gens).elements == reference_subgroup(form, gens).elements
 
-    def test_every_element_is_validated_once(self, monkeypatch):
+    def test_no_product_is_validated(self, monkeypatch):
         form = discriminant_form(parse_lattice_spec("U(2)+U(4)"))
         gens = aut_group(form).elements[1::9]
         validated = []
@@ -203,10 +199,32 @@ class TestClosure:
         monkeypatch.setattr(FqfIsometry, "__post_init__", counting)
         closure = fqf_subgroup(form, gens)
         monkeypatch.undo()
-        assert sorted(validated) == [iso.matrix for iso in closure.elements]
+        assert validated == []
+        assert closure.order() > len(gens)
+        assert closure.elements == reference_subgroup(form, gens).elements
         for iso in closure.elements:
             assert type(iso) is FqfIsometry
             assert FqfIsometry(form, iso.matrix) == iso  # passes full validation again
+
+    def test_a_corrupt_product_is_caught(self, monkeypatch):
+        """A _matmul_mod that gets one product wrong makes the closure
+        differ from the reference, which multiplies with intmat.matmul."""
+        form = discriminant_form(parse_lattice_spec("U(2)+U(4)"))
+        gens = aut_group(form).elements[1::9]
+        want = reference_subgroup(form, gens)
+        real = discriminant._matmul_mod
+        calls = []
+
+        def corrupt(a, b_cols, orders):
+            product = real(a, b_cols, orders)
+            calls.append(None)
+            if len(calls) != 5:
+                return product
+            return ((product[0][0] + 1) % orders[0],) + product[0][1:], *product[1:]
+
+        monkeypatch.setattr(discriminant, "_matmul_mod", corrupt)
+        assert fqf_subgroup(form, gens).elements != want.elements
+        assert len(calls) > 5
 
     def test_trivial_form(self):
         form = discriminant_form(parse_lattice_spec("U"))
@@ -223,8 +241,8 @@ def test_random_generator_subsets_match_reference(label, data):
     left_gens, right_gens = data.draw(picks), data.draw(picks)
     left = fqf_subgroup(form, left_gens)
     right = fqf_subgroup(form, right_gens)
-    assert left == reference_subgroup(form, left_gens)
-    assert right == reference_subgroup(form, right_gens)
+    assert left.elements == reference_subgroup(form, left_gens).elements
+    assert right.elements == reference_subgroup(form, right_gens).elements
     assert double_coset_count(left, ambient, right) == reference_double_coset_count(
         left, ambient, right
     )
@@ -252,3 +270,52 @@ def test_inverse_matches_enumeration(label):
         assert inv == reference_inverse(iso)
         assert _inverse_mod(iso.matrix, form.orders) == reference_inverse(iso).matrix
         assert iso.compose(inv).is_identity()
+
+
+@pytest.mark.parametrize("label", ["U(6)", "U(2)+U(4)", "U(3)+A(2)", "U(2)+U(6)"])
+def test_compose_matches_the_validated_product(label):
+    elements = aut_group(discriminant_form(parse_lattice_spec(label))).elements
+    for i, a in enumerate(elements):
+        b = elements[(7 * i + 3) % len(elements)]
+        assert a.compose(b) == validated_product(a, b)
+
+
+def _validated_scalars(form):
+    """The identity, -1 and {+-1} through the validating constructor and
+    the reference closure."""
+    k = form.ngens
+    one = FqfIsometry(form, intmat.identity(k))
+    minus = FqfIsometry(form, tuple(tuple(-(i == j) for j in range(k)) for i in range(k)))
+    return one, minus, reference_subgroup(form, (minus,))
+
+
+def _assert_scalars_match(form):
+    one, minus, pm = _validated_scalars(form)
+    assert FqfIsometry.identity(form) == one
+    assert FqfIsometry.minus_identity(form) == minus
+    assert plus_minus_subgroup(form).elements == pm.elements
+    assert trivial_subgroup(form).elements == (one,)
+    two_elementary = all(d == 2 for d in form.orders)
+    assert plus_minus_subgroup(form).order() == (1 if two_elementary else 2)
+
+
+def test_scalars_match_their_validated_constructions(corpus_lattices):
+    for lattice in corpus_lattices:
+        _assert_scalars_match(discriminant_form(lattice))
+
+
+@pytest.mark.parametrize("label", ["diag(2,-2,-2)", "U(2)+U(2)", "U(2)+D(4)", "U"])
+def test_minus_one_is_one_on_two_elementary_forms(label):
+    form = discriminant_form(parse_lattice_spec(label))
+    assert plus_minus_subgroup(form).order() == 1
+    _assert_scalars_match(form)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(consistent_tables())
+def test_scalars_match_on_random_forms(tables):
+    try:
+        form = FiniteQuadraticForm(*tables)
+    except LatticeError:  # b has a radical
+        assume(False)
+    _assert_scalars_match(form)

@@ -88,7 +88,7 @@ def test_transported_full_group_is_the_target_group(label):
         gram = intmat.matmul(intmat.matmul(intmat.transpose(u), lattice.gram), u)
         target = discriminant_form(make_lattice(gram))
         moved = transport_subgroup(aut_group(source), target)
-        assert moved == aut_group(target)
+        assert moved.elements == aut_group(target).elements
         moved_forms += target != source
     assert moved_forms
 
@@ -99,6 +99,27 @@ def test_repr_builds_no_element():
     small = aut_group(discriminant_form(parse_lattice_spec("U(6)")))
     assert repr(small) == "_FullGroup(orders=(6, 6), order=8)"
     assert "elements" not in vars(small)
+
+
+def test_equality_and_hash_build_no_element():
+    form = discriminant_form(parse_lattice_spec("U(2)+U(2)+U(2)+U(2)"))
+    group = aut_group(form)
+    assert group == aut_group(form)
+    assert hash(group) == hash(aut_group(form))
+    assert group != plus_minus_subgroup(form) and plus_minus_subgroup(form) != group
+    assert "elements" not in vars(group)
+
+
+def test_a_full_group_equals_its_direct_route_both_ways():
+    form = discriminant_form(parse_lattice_spec("U(6)"))
+    lazy, direct = aut_group(form), aut_group(form, method="direct")
+    assert lazy == direct and direct == lazy
+    assert hash(lazy) == hash(direct)
+    assert "elements" not in vars(lazy)
+    pm = plus_minus_subgroup(form)
+    assert lazy != pm and pm != lazy and direct != pm
+    other = aut_group(negated(form))  # the same order on another form
+    assert other.order() == lazy.order() and other != lazy and lazy != other
 
 
 @pytest.mark.parametrize("label", ["U(3)+U(3)+U(3)", "U(2)+U(2)+U(2)+U(2)"])

@@ -103,10 +103,14 @@ def test_matches_the_enumerating_reference(monkeypatch):
     assert moved_by_search >= 20
 
 
-def test_every_moved_element_is_validated(monkeypatch):
+def test_moved_elements_are_checked_once(monkeypatch):
+    """The moved full group is checked on its generators when it is read,
+    and builds no element through the validating constructor; any other
+    subgroup validates each moved element."""
     source = discriminant_form(diag(6, -10))
     target = discriminant_form(make_lattice(((6, 6), (6, -4))))
     full = aut_group(source)
+    sub = fqf_subgroup(source, full.elements[1:3])
     built = []
     check = FqfIsometry.__post_init__
 
@@ -115,5 +119,25 @@ def test_every_moved_element_is_validated(monkeypatch):
         check(self)
 
     monkeypatch.setattr(FqfIsometry, "__post_init__", counted)
-    moved = transport_subgroup(full, target)
-    assert _matrices(moved) <= set(built)
+    moved = transport_subgroup(full, target).elements
+    assert built == []
+    moved_sub = transport_subgroup(sub, target)
+    assert _matrices(moved_sub) <= set(built)
+    monkeypatch.undo()
+    assert moved == aut_group(target).elements
+    for iso in moved:
+        assert FqfIsometry(target, iso.matrix) == iso  # passes full validation
+
+
+def test_a_corrupt_moved_generator_fails_on_read():
+    # one prime: the moved group runs no check when it is built
+    lattice = parse_lattice_spec("U(4)")
+    source = discriminant_form(lattice)
+    rng = random.Random(1)
+    target = next(f for f in (discriminant_form(_rebased(lattice, rng)) for _ in range(50)) if f != source)
+    moved = transport_subgroup(aut_group(source), target)
+    ((ident, levels),) = moved._chains
+    at = next(i for i, u in enumerate(levels[0]) if u != ident)
+    levels[0][at] = tuple((0,) + row[1:] for row in levels[0][at])  # g_1 goes to 0
+    with pytest.raises(AssertionError, match="the stitched images do not preserve q and b"):
+        moved.elements
