@@ -302,14 +302,18 @@ class _DiscData:
                     out[row] += Fraction(c * self.v[row][idx], d)
         return tuple(out)
 
+    @functools.cached_property
+    def ug(self) -> Matrix:
+        return intmat.matmul(self.u, self.lattice.gram)
+
     def class_of(self, w, d: int) -> tuple:
         """Class in the discriminant group of the dual vector w / d, for an
-        integer vector w."""
-        y = intmat.matvec(self.lattice.gram, w)
-        if any(val % d for val in y):
+        integer vector w: the entries of U G w / d.  U is unimodular, so G w
+        is 0 mod d, w / d in the dual lattice, exactly when U G w is."""
+        c = intmat.matvec(self.ug, w)
+        if any(val % d for val in c):
             raise LatticeError("vector is not in the dual lattice")
-        c = intmat.matvec(self.u, tuple(val // d for val in y))
-        return tuple(c[idx] % self.dvec[idx] for idx in self.keep)
+        return tuple(c[idx] // d % self.dvec[idx] for idx in self.keep)
 
 
 @functools.lru_cache(maxsize=256)
@@ -539,19 +543,37 @@ def _span_elements(form: FiniteQuadraticForm, gens) -> set:
     return span
 
 
-def _candidates(form, pool, gen_orders, gen_q) -> list:
-    """Per generator, the (x, pairing row) of the pool elements x that match
-    its element order and q numerator (over the exponent of `form`), in the
-    order of `pool`.  Each pool element's pairing row is computed once; it
-    gives the element's q, and its bucket keeps it for the b checks of
-    _place_images."""
+def _candidates(form, axes, gen_orders, gen_q) -> list:
+    """Per generator, the (x, pairing row) of the x in the product of the
+    ranges `axes` that match its element order and N q mod 2N, in
+    itertools.product order (_walk); the rows serve _place_images' b checks."""
     buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
-    for x in pool:
-        pairing = form._pairing(x)
-        bucket = buckets.get((form.element_order(x), form._qn_paired(x, pairing)))
-        if bucket is not None:
-            bucket.append((x, pairing))
+    if axes:
+        _walk(form, axes, 0, (), (0,) * len(axes), 0, 1, buckets)
+    elif (1, 0) in buckets:
+        buckets[1, 0].append(((), ()))
     return [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
+
+
+def _walk(form, axes, t, x, row, qn, order, buckets):
+    """Buckets the elements x + y, y over the product of axes[t:], by (order,
+    N q mod 2N).  row, qn and order belong to the prefix x: its pairing row
+    x^T B, its unreduced _qn_paired sum and its order.  Adding a e_t adds
+    a B_t to the row, a (2 row_t + a b_tt + [t in _q_high] N) to qn and the
+    order of a e_t to the lcm; only a kept element gets its last row.  Not a
+    closure, like _place_images, so that it makes no reference cycle."""
+    d, b, mod = form.orders[t], form._b[t], 2 * form._n
+    lin, btt = 2 * row[t] + (form._n if t in form._q_high else 0), b[t]
+    if t + 1 < len(axes):
+        for a in axes[t]:
+            step = row if not a else tuple([r + a * v for r, v in zip(row, b)])
+            qa, oa = qn + a * (lin + a * btt), lcm(order, d // gcd(d, a))
+            _walk(form, axes, t + 1, x + (a,), step, qa, oa, buckets)
+        return
+    for a in axes[t]:
+        bucket = buckets.get((lcm(order, d // gcd(d, a)), (qn + a * (lin + a * btt)) % mod))
+        if bucket is not None:
+            bucket.append((x + (a,), row if not a else tuple([r + a * v for r, v in zip(row, b)])))
 
 
 def _narrow(n, later, row, wants) -> Optional[list]:
@@ -580,7 +602,7 @@ def _place_images(n, candidates, gen_b, images):
     well-defined map on sum_i Z/e_i, and matched b makes it keep b.  The
     generators span a nondegenerate form or one of its p-parts, where b is
     nondegenerate too, so the map is injective; callers pass as many
-    generators as make up the group spanned by the pool, so it is bijective
+    generators as make up the group their candidates span, so it is bijective
     onto it.
     """
     # A module-level generator, not a closure: a closure that calls itself
@@ -601,7 +623,7 @@ def _place_images(n, candidates, gen_b, images):
 
 
 def _aut_direct(form: FiniteQuadraticForm) -> list:
-    candidates = _candidates(form, sorted(form.elements()), form.orders, form._q)
+    candidates = _candidates(form, [range(d) for d in form.orders], form.orders, form._q)
     return [
         FqfIsometry.from_images(form, images)
         for images in _place_images(form._n, candidates, form._b, [])
@@ -614,11 +636,11 @@ class _Block(NamedTuple):
     idxs: tuple  # the generators g_i with p | d_i
     hgens: tuple  # h_i = (d_i / p^v) g_i, p^v || d_i, which span A_p
     weights: tuple  # w_i with e_p g_i = w_i h_i
-    pool: list  # the |A_p| target elements, sorted
+    axes: tuple  # coordinate ranges whose product is the span of the h_i
     gen_orders: tuple  # p^v, the order of h_i
     gen_q: tuple  # N q(h_i) mod 2N
     gen_b: list  # N b(h_i, h_j) mod N
-    candidates: list  # _candidates of the pool for the h_i
+    candidates: list  # _candidates of the axes for the h_i
 
 
 def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm):
@@ -627,9 +649,9 @@ def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm):
     the source numerators apply.
 
     A is the orthogonal sum of its p-parts A_p, spanned by the h_i =
-    (d_i / p^v) g_i with p^v || d_i.  Each block searches a pool of the |A_p|
-    target elements.  The CRT idempotent e_p of the exponent gives
-    e_p g_i = w_i h_i, so a block isometry sigma contributes w_i sigma(h_i)
+    (d_i / p^v) g_i with p^v || d_i.  Each block walks the |A_p| target
+    elements on their coordinate ranges (_candidates).  The CRT idempotent
+    e_p of the exponent gives e_p g_i = w_i h_i, so a block isometry sigma contributes w_i sigma(h_i)
     to column i of every element it is part of: its contribution matrix
     (_contribution), with row i reduced mod d_i.  For one prime the h_i are
     the g_i, each w_i is 1 and a contribution matrix is the element's
@@ -652,11 +674,10 @@ def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm):
             hgens.append(tuple(coords))
             weights.append((idem % orders[i]) // (orders[i] // q))
             axes[i] = range(0, orders[i], orders[i] // q)
-        pool = list(itertools.product(*axes))  # sorted, as each axis is
         gen_b = [[source._bn(g, h) for h in hgens] for g in hgens]
         gen_q = tuple(source._qn(h) for h in hgens)
-        candidates = _candidates(target, pool, pe, gen_q)
-        yield _Block(idxs, tuple(hgens), tuple(weights), pool, pe, gen_q, gen_b, candidates)
+        candidates = _candidates(target, axes, pe, gen_q)
+        yield _Block(idxs, tuple(hgens), tuple(weights), tuple(axes), pe, gen_q, gen_b, candidates)
 
 
 def _contribution(block: _Block, sigma, target: FiniteQuadraticForm) -> Matrix:
@@ -770,10 +791,10 @@ def _form_defect(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matri
 
 
 def _assert_keeps_form(source: FiniteQuadraticForm, target: FiniteQuadraticForm, matrices):
-    """Stitched and transported maps keep q and b, because the p-parts are
-    orthogonal and isometries compose; that is still asserted, map by map."""
+    """Stitched, transported and transversal maps keep q and b, by
+    construction; that is still asserted, map by map."""
     if any(_form_defect(source, target, m) for m in matrices):
-        raise AssertionError("the stitched images do not preserve q and b")
+        raise AssertionError("the images of the generators do not preserve q and b")
 
 
 class _FullGroup(FqfSubgroup):
@@ -794,14 +815,14 @@ class _FullGroup(FqfSubgroup):
     stitched with the identity contribution e_q of every other block,
     gives a generating set of O(A, q) (_generator_matrices).
 
-    Elements are built on first read, certified: the generators are
-    asserted to keep q and b, for one block too, and their products
-    (_products, stitched across blocks when there are several) to be
+    Elements are built on first read, certified: the products (_products,
+    stitched across blocks when there are several) are asserted to be
     distinct and to number order(), then sorted.  A group with more than
     MAX_SUBGROUP_ORDER elements raises BudgetExceeded before it builds any.
 
-    Two checks run when it is built.  The elements of each level are
-    distinct.  And with several blocks, each generator keeps q and b.
+    The elements of each level are asserted distinct when it is built, and
+    each generator to keep q and b once: then if it has several blocks,
+    else on the first read of its elements.
     """
 
     def __init__(self, form: FiniteQuadraticForm, chains: list):
@@ -826,7 +847,8 @@ class _FullGroup(FqfSubgroup):
         if order > MAX_SUBGROUP_ORDER:
             raise BudgetExceeded(f"|O(A, q)| = {order} exceeds the cap {MAX_SUBGROUP_ORDER} on built elements")
         form = self.form
-        _assert_keeps_form(form, form, self._generator_matrices())
+        if len(self._chains) == 1:  # else checked in __init__
+            _assert_keeps_form(form, form, self._generator_matrices())
         blocks = [_products(ident, levels, form.orders) for ident, levels in self._chains]
         matrices = sorted(blocks[0] if len(blocks) == 1 else _stitch(blocks, form.orders))
         if len(matrices) != order or any(a == b for a, b in zip(matrices, matrices[1:])):
@@ -896,15 +918,14 @@ def natural_map(lattice: EvenLattice, isometry) -> FqfIsometry:
 
 
 def isotropic_elements(form: FiniteQuadraticForm, d: int, budget: Optional[int] = None) -> list:
-    """All x with q(x) = 0 in Q/2Z and exact order d, in canonical order."""
+    """All x with q(x) = 0 in Q/2Z and exact order d, in canonical order,
+    which is the itertools.product order of the walk."""
     if d < 1:
         raise BadParams(f"the order d must be at least 1, got {d}")
     _check_budget(form.order(), budget)
     if form.exponent() % d != 0:
         return []
-    return sorted(
-        x for x in form.elements() if form.element_order(x) == d and form._qn(x) == 0
-    )
+    return [x for x, _ in _candidates(form, [range(c) for c in form.orders], (d,), (0,))[0]]
 
 
 def isotropic_subgroups(form: FiniteQuadraticForm, order: int, budget: Optional[int] = None) -> list:

@@ -8,6 +8,7 @@ implied basis; the pairing of u and v is u^T G v.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -390,10 +391,13 @@ def smith_normal_form(mat):
 
 
 def restricted_gram(lattice: EvenLattice, cols) -> Matrix:
-    """Gram matrix of the sublattice spanned by the given columns."""
-    if intmat.shape(cols)[1] == 0:
-        return ()
-    return intmat.matmul(intmat.matmul(intmat.transpose(cols), lattice.gram), cols)
+    """Gram matrix of the sublattice spanned by the given columns: the table
+    of c_i . (G c_j), with each image G c_j taken once."""
+    vecs = tuple(zip(*cols))
+    if vecs and len(cols) != lattice.rank:
+        raise ValueError(f"shape mismatch: {len(cols)} rows of columns for a rank {lattice.rank} lattice")
+    images = [tuple([sum(map(operator.mul, row, c)) for row in lattice.gram]) for c in vecs]
+    return tuple(tuple([sum(map(operator.mul, c, image)) for image in images]) for c in vecs)
 
 
 def is_hyperbolic_shape(lattice: EvenLattice):

@@ -170,6 +170,30 @@ def random_even_lattice(rng, rank, entry_bound=20):
 # --- references for the O(A, q) search and the form constructor -------------
 
 
+def reference_candidates(form, pool, gen_orders, gen_q) -> list:
+    """Per generator, the (x, pairing row) of the pool elements x that match
+    its element order and q numerator, in pool order: each element's full
+    pairing row, element_order and _qn_paired, the scan _candidates made
+    over a list of |A_p| elements before it walked coordinate ranges."""
+    buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
+    for x in pool:
+        pairing = form._pairing(x)
+        bucket = buckets.get((form.element_order(x), form._qn_paired(x, pairing)))
+        if bucket is not None:
+            bucket.append((x, pairing))
+    return [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
+
+
+def reference_class_of(data, w, d: int) -> tuple:
+    """The class of w / d through two products, G w and then U (G w / d),
+    the route _DiscData.class_of took before it read U G."""
+    y = intmat.matvec(data.lattice.gram, w)
+    if any(val % d for val in y):
+        raise LatticeError("vector is not in the dual lattice")
+    c = intmat.matvec(data.u, tuple(val // d for val in y))
+    return tuple(c[idx] % data.dvec[idx] for idx in data.keep)
+
+
 def reference_image_assignments(form, pool, gen_orders, gen_q, gen_b):
     """The block search checked node by node: candidates bucketed by element
     order and form._qn, and each candidate tested at its node against the

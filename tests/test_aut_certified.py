@@ -102,10 +102,10 @@ def _corrupt_first_contribution(monkeypatch):
 def test_corrupt_transversal_element_fails_the_stitched_check(monkeypatch):
     form = discriminant_form(parse_lattice_spec("U(6)"))
     calls = _corrupt_first_contribution(monkeypatch)
-    with pytest.raises(AssertionError, match="the stitched images do not preserve q and b"):
+    with pytest.raises(AssertionError, match="the images of the generators do not preserve q and b"):
         aut_group(form)
     calls.clear()
-    with pytest.raises(AssertionError, match="the stitched images do not preserve q and b"):
+    with pytest.raises(AssertionError, match="the images of the generators do not preserve q and b"):
         fqf_isomorphism(form, form)
 
 
@@ -115,8 +115,24 @@ def test_corrupt_transversal_element_of_one_block_fails_on_read(monkeypatch):
     form = discriminant_form(parse_lattice_spec("U(4)"))
     _corrupt_first_contribution(monkeypatch)
     group = aut_group(form)
-    with pytest.raises(AssertionError, match="the stitched images do not preserve q and b"):
+    with pytest.raises(AssertionError, match="the images of the generators do not preserve q and b"):
         group.elements
+
+
+@pytest.mark.parametrize("label", ["U(4)", "U(2)+U(4)", "U(6)", "U(2)+U(6)"])
+def test_each_generator_is_checked_once(label, monkeypatch):
+    # one block: on the first read; several: when the group is built
+    checked = []
+    real = discriminant._assert_keeps_form
+
+    def counted(source, target, matrices):
+        checked.append(len(matrices))
+        real(source, target, matrices)
+
+    monkeypatch.setattr(discriminant, "_assert_keeps_form", counted)
+    group = aut_group(discriminant_form(parse_lattice_spec(label)))
+    group.elements
+    assert len(checked) == 1 and checked[0] > 0
 
 
 def test_repeated_transversal_element_fails_the_distinctness_check(monkeypatch):

@@ -10,6 +10,7 @@ replaced, the Fraction tables of a discriminant form and the Fraction
 validator of a q/b table.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -104,7 +105,8 @@ def _set_ups(run):
 
 
 def _reference_search(target, block):
-    return list(reference_image_assignments(target, block.pool, block.gen_orders, block.gen_q, block.gen_b))
+    pool = itertools.product(*block.axes)
+    return list(reference_image_assignments(target, pool, block.gen_orders, block.gen_q, block.gen_b))
 
 
 @SETTINGS
@@ -134,7 +136,7 @@ def test_block_pools_are_the_sorted_spans(pair):
     form = pair[0]
     calls, _ = _set_ups(lambda: aut_group(form, method="primary"))
     ((_, blocks),) = calls
-    pools = [block.pool for block in blocks]
+    pools = [list(itertools.product(*block.axes)) for block in blocks]
     orders = form.orders
     expected = []
     for p in _prime_factors(form.exponent()):

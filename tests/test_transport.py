@@ -139,5 +139,5 @@ def test_a_corrupt_moved_generator_fails_on_read():
     ((ident, levels),) = moved._chains
     at = next(i for i, u in enumerate(levels[0]) if u != ident)
     levels[0][at] = tuple((0,) + row[1:] for row in levels[0][at])  # g_1 goes to 0
-    with pytest.raises(AssertionError, match="the stitched images do not preserve q and b"):
+    with pytest.raises(AssertionError, match="the images of the generators do not preserve q and b"):
         moved.elements
