@@ -8,6 +8,13 @@ inside it holds integer numerators over the exponent N, q * N mod 2N and
 b * N mod N.  The discriminant form of a lattice is computed in those
 integers, and every validation, enumeration and search loop works on them.
 
+The O(A, q) search tests b with one integer product.  A candidate x
+carries P(x), its coordinates x_t in w-bit fields t, and R(x), its pairing
+row x^T B in fields k-1-t.  Field k-1 of P(c) R(x) is N b(c, x) before the
+reduction mod N.  A field of the product sums at most k terms, each a
+coordinate below N times a row entry below k N^2, so it stays below
+k^2 N^3 < 2^w for w = bit_length(k^2 N^3) + 1: no field carries.
+
 An element of O(A, q) that comes from outside a closure is checked for q
 and b once: a user or natural_map generator, a search leaf, a stitched
 generator and a transported element.  Elements made inside one form from
@@ -187,6 +194,12 @@ class FiniteQuadraticForm:
         object.__setattr__(self, "_b", b_num)
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_q_high", tuple(i for i in range(k) if q_num[i] >= n))
+        # the packed pairings of the O(A, q) search (see the module docstring)
+        w = (k * k * n**3).bit_length() + 1
+        shift = w * max(k - 1, 0)
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_pack", (n, shift, (1 << w) - 1))
+        object.__setattr__(self, "_b_packed", tuple(sum(v << shift - w * j for j, v in enumerate(row)) for row in b_num))
         # isometries hash their form on every set insertion
         object.__setattr__(self, "_hash", hash((orders, q_num, b_num)))
 
@@ -544,52 +557,55 @@ def _span_elements(form: FiniteQuadraticForm, gens) -> set:
 
 
 def _candidates(form, axes, gen_orders, gen_q) -> list:
-    """Per generator, the (x, pairing row) of the x in the product of the
+    """Per generator, the (x, P(x), R(x)) of the x in the product of the
     ranges `axes` that match its element order and N q mod 2N, in
-    itertools.product order (_walk); the rows serve _place_images' b checks."""
+    itertools.product order (_walk); P and R, the packed coordinates and
+    pairing row (see the module docstring), serve _place_images' b checks."""
     buckets = {(o, q): [] for o, q in zip(gen_orders, gen_q)}
     if axes:
-        _walk(form, axes, 0, (), (0,) * len(axes), 0, 1, buckets)
+        steps = [[(a, d // gcd(d, a)) for a in axis] for axis, d in zip(axes, form.orders)]
+        _walk(form, steps, 0, (), 0, 0, 0, 1, buckets)
     elif (1, 0) in buckets:
-        buckets[1, 0].append(((), ()))
+        buckets[1, 0].append(((), 0, 0))
     return [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
 
 
-def _walk(form, axes, t, x, row, qn, order, buckets):
-    """Buckets the elements x + y, y over the product of axes[t:], by (order,
-    N q mod 2N).  row, qn and order belong to the prefix x: its pairing row
-    x^T B, its unreduced _qn_paired sum and its order.  Adding a e_t adds
-    a B_t to the row, a (2 row_t + a b_tt + [t in _q_high] N) to qn and the
-    order of a e_t to the lcm; only a kept element gets its last row.  Not a
-    closure, like _place_images, so that it makes no reference cycle."""
-    d, b, mod = form.orders[t], form._b[t], 2 * form._n
-    lin, btt = 2 * row[t] + (form._n if t in form._q_high else 0), b[t]
-    if t + 1 < len(axes):
-        for a in axes[t]:
-            step = row if not a else tuple([r + a * v for r, v in zip(row, b)])
-            qa, oa = qn + a * (lin + a * btt), lcm(order, d // gcd(d, a))
-            _walk(form, axes, t + 1, x + (a,), step, qa, oa, buckets)
+def _walk(form, steps, t, x, p, r, qn, order, buckets):
+    """Buckets the elements x + y, y over the axes t.., by (order, N q mod
+    2N); steps[t] lists (a, order of a e_t).  p, r, qn and order belong to
+    the prefix x: P(x), R(x), its unreduced _qn_paired sum and its order.
+    Adding a e_t adds a 2^(w t) to P, a R(B_t) to R, a (2 row_t + a b_tt +
+    [t in _q_high] N) to qn, with row_t read out of R, and the order of a e_t
+    to the lcm.  Not a closure, like _place_images: no reference cycle."""
+    (n, shift, mask), w = form._pack, form._w
+    btt, mod, pt, rt = form._b[t][t], 2 * n, 1 << w * t, form._b_packed[t]
+    lin = 2 * (r >> shift - w * t & mask) + (n if t in form._q_high else 0)
+    if t + 1 < len(steps):
+        for a, da in steps[t]:
+            qa, oa = qn + a * (lin + a * btt), lcm(order, da)
+            _walk(form, steps, t + 1, x + (a,), p + a * pt, r + a * rt, qa, oa, buckets)
         return
-    for a in axes[t]:
-        bucket = buckets.get((lcm(order, d // gcd(d, a)), (qn + a * (lin + a * btt)) % mod))
+    for a, da in steps[t]:
+        bucket = buckets.get((lcm(order, da), (qn + a * (lin + a * btt)) % mod))
         if bucket is not None:
-            bucket.append((x + (a,), row if not a else tuple([r + a * v for r, v in zip(row, b)])))
+            bucket.append((x + (a,), p + a * pt, r + a * rt))
 
 
-def _narrow(n, later, row, wants) -> Optional[list]:
+def _narrow(pack, later, rx, wants) -> Optional[list]:
     """Each candidate list of `later` filtered, in order, by b(c, x) = want
-    through the pairing row of the image x just placed; None when one comes
-    out empty."""
+    through R(x) of the image x just placed: one product P(c) R(x) per
+    candidate; None when one comes out empty."""
+    n, shift, mask = pack
     narrowed = []
     for pool, want in zip(later, wants):
-        kept = [c for c in pool if sum(map(operator.mul, c[0], row)) % n == want]
+        kept = [c for c in pool if (c[1] * rx >> shift & mask) % n == want]
         if not kept:
             return None
         narrowed.append(kept)
     return narrowed
 
 
-def _place_images(n, candidates, gen_b, images):
+def _place_images(pack, candidates, gen_b, images):
     """DFS over assignments of images to generators, by forward checking.
 
     images holds the images of generators 0..i-1; candidates[0] lists the
@@ -604,6 +620,9 @@ def _place_images(n, candidates, gen_b, images):
     nondegenerate too, so the map is injective; callers pass as many
     generators as make up the group their candidates span, so it is bijective
     onto it.
+
+    When one later list is left, it is tested lazily, in the same order:
+    each match is yielded as it is found, so next() stops at the first.
     """
     # A module-level generator, not a closure: a closure that calls itself
     # is a reference cycle, and it would keep `candidates` alive until the
@@ -614,11 +633,19 @@ def _place_images(n, candidates, gen_b, images):
     i = len(images)
     later = candidates[1:]
     wants = [gen_b[j][i] for j in range(i + 1, i + 1 + len(later))]
-    for x, row in candidates[0]:
-        narrowed = _narrow(n, later, row, wants)
+    if len(later) == 1:
+        n, shift, mask = pack
+        last, want = later[0], wants[0]
+        for x, _, rx in candidates[0]:
+            for c in last:
+                if (c[1] * rx >> shift & mask) % n == want:
+                    yield (*images, x, c[0])
+        return
+    for x, _, rx in candidates[0]:
+        narrowed = _narrow(pack, later, rx, wants)
         if narrowed is not None:
             images.append(x)
-            yield from _place_images(n, narrowed, gen_b, images)
+            yield from _place_images(pack, narrowed, gen_b, images)
             images.pop()
 
 
@@ -626,7 +653,7 @@ def _aut_direct(form: FiniteQuadraticForm) -> list:
     candidates = _candidates(form, [range(d) for d in form.orders], form.orders, form._q)
     return [
         FqfIsometry.from_images(form, images)
-        for images in _place_images(form._n, candidates, form._b, [])
+        for images in _place_images(form._pack, candidates, form._b, [])
     ]
 
 
@@ -638,15 +665,15 @@ class _Block(NamedTuple):
     weights: tuple  # w_i with e_p g_i = w_i h_i
     axes: tuple  # coordinate ranges whose product is the span of the h_i
     gen_orders: tuple  # p^v, the order of h_i
-    gen_q: tuple  # N q(h_i) mod 2N
-    gen_b: list  # N b(h_i, h_j) mod N
+    gen_q: tuple  # N q(h_i) mod 2N, s_i^2 N q(g_i) for s_i = d_i / p^v
+    gen_b: list  # N b(h_i, h_j) mod N, s_i s_j N b(g_i, g_j)
     candidates: list  # _candidates of the axes for the h_i
 
 
 def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm):
     """The search set-up (_Block) of each p-primary block, for isometries
     source -> target.  The forms have equal orders, hence one exponent, so
-    the source numerators apply.
+    the source numerators apply, to b and q of the h_i = s_i g_i too.
 
     A is the orthogonal sum of its p-parts A_p, spanned by the h_i =
     (d_i / p^v) g_i with p^v || d_i.  Each block walks the |A_p| target
@@ -665,17 +692,18 @@ def _primary_blocks(source: FiniteQuadraticForm, target: FiniteQuadraticForm):
         m = exponent // pe_n
         idem = m * pow(m, -1, pe_n)
         pe = tuple(p ** _p_valuation(orders[i], p) for i in idxs)
+        scales = tuple(orders[i] // q for i, q in zip(idxs, pe))  # s_i = d_i / p^v
         hgens = []
         weights = []
-        axes = [(0,)] * k  # the span of the h_i: the multiples of d_i / p^v in coordinate i
-        for i, q in zip(idxs, pe):
+        axes = [(0,)] * k  # the span of the h_i: the multiples of s_i in coordinate i
+        for i, s in zip(idxs, scales):
             coords = [0] * k
-            coords[i] = orders[i] // q
+            coords[i] = s
             hgens.append(tuple(coords))
-            weights.append((idem % orders[i]) // (orders[i] // q))
-            axes[i] = range(0, orders[i], orders[i] // q)
-        gen_b = [[source._bn(g, h) for h in hgens] for g in hgens]
-        gen_q = tuple(source._qn(h) for h in hgens)
+            weights.append((idem % orders[i]) // s)
+            axes[i] = range(0, orders[i], s)
+        gen_b = [[s * t * source._b[i][j] % exponent for j, t in zip(idxs, scales)] for i, s in zip(idxs, scales)]
+        gen_q = tuple(s * s * source._q[i] % (2 * exponent) for i, s in zip(idxs, scales))
         candidates = _candidates(target, axes, pe, gen_q)
         yield _Block(idxs, tuple(hgens), tuple(weights), tuple(axes), pe, gen_q, gen_b, candidates)
 
@@ -696,31 +724,28 @@ def _stabilizer_chain(form: FiniteQuadraticForm, block: _Block) -> tuple:
     stabilizer of h_1..h_i: a transversal of the next stabilizer in it.
 
     Level i keeps h_1..h_{i-1} at themselves, which the search may do
-    because source and target are one form.  Each candidate y for h_i that
-    survives forward checking is tried, and only the first completion of
-    the rest is kept: y completes exactly when it is in the orbit, and
-    that completion is an element of the stabilizer that moves h_i to y.
-    Then h_i is placed at itself, and the search goes on to level i + 1.
+    because source and target are one form.  Each candidate y for h_i is
+    placed first, and only the first completion of the rest is kept: y
+    completes exactly when it is in the orbit, and that completion is an
+    element of the stabilizer that moves h_i to y.  Then h_i is placed at
+    itself, and the search goes on to level i + 1.
     """
-    n = form._n
+    pack = form._pack
     k = len(block.hgens)
     levels = []
     candidates = block.candidates
     for i, h in enumerate(block.hgens):
         first, later = candidates[0], candidates[1:]
-        wants = [block.gen_b[j][i] for j in range(i + 1, k)]
         level = []
-        for y, row in first:
-            narrowed = _narrow(n, later, row, wants)
-            if narrowed is not None:
-                # a fresh prefix list each time: an abandoned search keeps its appends
-                sigma = next(_place_images(n, narrowed, block.gen_b, [*block.hgens[:i], y]), None)
-                if sigma is not None:
-                    level.append(_contribution(block, sigma, form))
-        row = next((row for x, row in first if x == h), None)
-        if row is None:
+        for y in first:
+            # a fresh prefix list each time: an abandoned search keeps its appends
+            sigma = next(_place_images(pack, [(y,), *later], block.gen_b, [*block.hgens[:i]]), None)
+            if sigma is not None:
+                level.append(_contribution(block, sigma, form))
+        rh = next((r for x, _, r in first if x == h), None)
+        if rh is None:
             raise AssertionError("a generator of the block is not among its own candidates")
-        candidates = _narrow(n, later, row, wants)
+        candidates = _narrow(pack, later, rh, [block.gen_b[j][i] for j in range(i + 1, k)])
         levels.append(level)
     return _contribution(block, block.hgens, form), levels
 
@@ -925,7 +950,7 @@ def isotropic_elements(form: FiniteQuadraticForm, d: int, budget: Optional[int] 
     _check_budget(form.order(), budget)
     if form.exponent() % d != 0:
         return []
-    return [x for x, _ in _candidates(form, [range(c) for c in form.orders], (d,), (0,))[0]]
+    return [x for x, _, _ in _candidates(form, [range(c) for c in form.orders], (d,), (0,))[0]]
 
 
 def isotropic_subgroups(form: FiniteQuadraticForm, order: int, budget: Optional[int] = None) -> list:
@@ -1017,7 +1042,7 @@ def fqf_isomorphism(source: FiniteQuadraticForm, target: FiniteQuadraticForm) ->
         return None
     contributions = []
     for block in _primary_blocks(source, target):
-        sigma = next(_place_images(target._n, block.candidates, block.gen_b, []), None)
+        sigma = next(_place_images(target._pack, block.candidates, block.gen_b, []), None)
         if sigma is None:
             return None
         contributions.append(_contribution(block, sigma, target))

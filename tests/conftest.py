@@ -184,6 +184,83 @@ def reference_candidates(form, pool, gen_orders, gen_q) -> list:
     return [buckets[o, q] for o, q in zip(gen_orders, gen_q)]
 
 
+def unpacked(form, lists) -> list:
+    """Candidate lists of (x, P(x), R(x)) read back field by field as (x,
+    coordinates, pairing row): P holds x_t in field t and R holds row_t in
+    field k-1-t, each w bits wide."""
+    k, w = form.ngens, form._w
+    mask = (1 << w) - 1
+
+    def fields(value):
+        return tuple(value >> w * t & mask for t in range(k))
+
+    return [[(x, fields(p), fields(r)[::-1]) for x, p, r in pool] for pool in lists]
+
+
+def reference_block_tables(form, block) -> tuple:
+    """(gen_b, gen_q) of a block through _bn and _qn on its vectors h_i."""
+    return [[form._bn(g, h) for h in block.hgens] for g in block.hgens], tuple(form._qn(h) for h in block.hgens)
+
+
+def reference_narrow(n, later, row, wants):
+    narrowed = []
+    for pool, want in zip(later, wants):
+        kept = [c for c in pool if sum(map(operator.mul, c[0], row)) % n == want]
+        if not kept:
+            return None
+        narrowed.append(kept)
+    return narrowed
+
+
+def reference_forward_images(n, candidates, gen_b, images):
+    """The forward-checking DFS on (x, pairing row) lists that narrows every
+    later list, the last one too, before it places the next image."""
+    if not candidates:
+        yield tuple(images)
+        return
+    i = len(images)
+    later = candidates[1:]
+    wants = [gen_b[j][i] for j in range(i + 1, i + 1 + len(later))]
+    for x, row in candidates[0]:
+        narrowed = reference_narrow(n, later, row, wants)
+        if narrowed is not None:
+            images.append(x)
+            yield from reference_forward_images(n, narrowed, gen_b, images)
+            images.pop()
+
+
+def reference_chain(form, block) -> tuple:
+    """The stabilizer chain of a block (ident, levels) on (x, pairing row)
+    lists from reference_candidates and tables from _bn and _qn, each
+    candidate's later lists narrowed in full before its first completion is
+    taken: the route _stabilizer_chain took before it packed its pairings."""
+    k, n = form.ngens, form._n
+    gen_b, gen_q = reference_block_tables(form, block)
+
+    def contribution(sigma):
+        cols = [form.zero()] * k
+        for i, w, image in zip(block.idxs, block.weights, sigma):
+            cols[i] = form.scale(w, image)
+        return tuple(zip(*cols))
+
+    candidates = reference_candidates(form, itertools.product(*block.axes), block.gen_orders, gen_q)
+    levels = []
+    for i, h in enumerate(block.hgens):
+        first, later = candidates[0], candidates[1:]
+        wants = [gen_b[j][i] for j in range(i + 1, len(block.hgens))]
+        level = []
+        for y, row in first:
+            narrowed = reference_narrow(n, later, row, wants)
+            if narrowed is not None:
+                sigma = next(reference_forward_images(n, narrowed, gen_b, [*block.hgens[:i], y]), None)
+                if sigma is not None:
+                    level.append(contribution(sigma))
+        row = next(row for x, row in first if x == h)
+        candidates = reference_narrow(n, later, row, wants)
+        levels.append(level)
+    return contribution(block.hgens), levels
+
+
 def reference_class_of(data, w, d: int) -> tuple:
     """The class of w / d through two products, G w and then U (G w / d),
     the route _DiscData.class_of took before it read U G."""

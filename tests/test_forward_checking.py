@@ -119,7 +119,7 @@ def test_search_yields_the_node_checked_sequence(pair):
     firsts = []
     for block in blocks:
         want = _reference_search(target, block)
-        assert list(_place_images(target._n, block.candidates, block.gen_b, [])) == want
+        assert list(_place_images(target._pack, block.candidates, block.gen_b, [])) == want
         firsts.append(want[0])  # the forms are isomorphic
     assert witness == _combine([_contribution(b, s, target) for b, s in zip(blocks, firsts)], target.orders)
     pool = sorted(form.elements())

@@ -1,9 +1,11 @@
 """The exact kernels under verify-ur take each product once, and give what
 the plain products give.
 
-_candidates walks the coordinate ranges of a block with a running pairing
-row, q numerator and element order; its lists equal the scan of every pool
-element (conftest.reference_candidates), element for element and in order.
+_candidates walks the coordinate ranges of a block with running packed
+coordinates P, a packed pairing row R, a q numerator and an element order;
+its lists, read back field by field (conftest.unpacked), equal the scan of
+every pool element (conftest.reference_candidates), element for element and
+in order.
 restricted_gram takes each image G c once and equals C^T G C.
 _DiscData.class_of reads U G once and equals the class through G w and
 U (G w / d); a w / d outside the dual lattice still raises.
@@ -19,7 +21,7 @@ import itertools
 import random
 
 import pytest
-from conftest import corpus, negated, random_even_lattice, reference_candidates, reference_class_of
+from conftest import corpus, negated, random_even_lattice, reference_candidates, reference_class_of, unpacked
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -58,14 +60,21 @@ def _forms():
 FORMS = _forms()
 
 
-def _assert_walk_is_the_scan(form):
+def with_coordinates(lists) -> list:
+    """Reference (x, pairing row) lists as (x, coordinates, pairing row)."""
+    return [[(x, x, row) for x, row in pool] for pool in lists]
+
+
+def assert_walk_is_the_scan(form):
     for block in _primary_blocks(form, form):
         pool = itertools.product(*block.axes)
         want = reference_candidates(form, pool, block.gen_orders, block.gen_q)
-        assert _candidates(form, block.axes, block.gen_orders, block.gen_q) == want
+        got = _candidates(form, block.axes, block.gen_orders, block.gen_q)
+        assert unpacked(form, got) == with_coordinates(want)
     axes = [range(d) for d in form.orders]
     want = reference_candidates(form, sorted(form.elements()), form.orders, form._q)
-    assert _candidates(form, axes, form.orders, form._q) == want  # the _aut_direct lists
+    got = _candidates(form, axes, form.orders, form._q)  # the _aut_direct lists
+    assert unpacked(form, got) == with_coordinates(want)
 
 
 def test_the_forms_have_high_q_generators_and_mixed_orders():
@@ -75,7 +84,7 @@ def test_the_forms_have_high_q_generators_and_mixed_orders():
 
 @pytest.mark.parametrize("form", FORMS, ids=lambda form: str(form.orders))
 def test_walk_lists_are_the_pool_scan(form):
-    _assert_walk_is_the_scan(form)
+    assert_walk_is_the_scan(form)
 
 
 @SETTINGS
@@ -85,7 +94,7 @@ def test_walk_lists_are_the_pool_scan_on_random_tables(tables):
         form = FiniteQuadraticForm(*tables)
     except LatticeError:  # b has a radical
         assume(False)
-    _assert_walk_is_the_scan(form)
+    assert_walk_is_the_scan(form)
 
 
 @pytest.mark.parametrize("form", FORMS, ids=lambda form: str(form.orders))
@@ -105,15 +114,15 @@ def test_a_high_q_generator_shifts_q():
     # Z/2 with q = 3/2: N q = 3 >= N = 2, so q(g) is b(g, g) + 1 mod 2
     form = discriminant_form(parse_lattice_spec("diag(-2)"))
     assert form._q_high == (0,)
-    assert _candidates(form, [range(2)], (2,), (3,)) == [[((1,), (1,))]]
+    assert _candidates(form, [range(2)], (2,), (3,)) == [[((1,), 1, 1)]]
 
 
 def test_the_prefix_row_carries_cross_terms():
     # U(2): q(g_1 + g_2) = 2 b(g_1, g_2) = 1, which a stale prefix row reads as 0
     form = discriminant_form(parse_lattice_spec("U(2)"))
     assert isotropic_elements(form, 2) == [(0, 1), (1, 0)]
-    ((one_one,),) = _candidates(form, [range(2), range(2)], (2,), (form._qn((1, 1)),))
-    assert one_one == ((1, 1), form._pairing((1, 1)))
+    (one_one,) = _candidates(form, [range(2), range(2)], (2,), (form._qn((1, 1)),))
+    assert unpacked(form, [one_one]) == [[((1, 1), (1, 1), form._pairing((1, 1)))]]
 
 
 def test_order_is_the_lcm():
@@ -122,7 +131,7 @@ def test_order_is_the_lcm():
     assert (2, 3) in isotropic_elements(form, 6)
     axes = [range(6), range(6)]
     want = reference_candidates(form, sorted(form.elements()), form.orders, form._q)
-    assert _candidates(form, axes, form.orders, form._q) == want
+    assert unpacked(form, _candidates(form, axes, form.orders, form._q)) == with_coordinates(want)
 
 
 # --- restricted_gram ------------------------------------------------------------
