@@ -194,17 +194,28 @@ class FiniteQuadraticForm:
         object.__setattr__(self, "_b", b_num)
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_q_high", tuple(i for i in range(k) if q_num[i] >= n))
-        # the packed pairings of the O(A, q) search (see the module docstring)
-        w = (k * k * n**3).bit_length() + 1
-        shift = w * max(k - 1, 0)
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_pack", (n, shift, (1 << w) - 1))
-        object.__setattr__(self, "_b_packed", tuple(sum(v << shift - w * j for j, v in enumerate(row)) for row in b_num))
         # isometries hash their form on every set insertion
         object.__setattr__(self, "_hash", hash((orders, q_num, b_num)))
 
     def __hash__(self):
         return self._hash
+
+    # The packed pairings of the O(A, q) search (see the module docstring),
+    # built on the first search of the form: most forms are never searched.
+
+    @functools.cached_property
+    def _w(self) -> int:
+        k = len(self.orders)
+        return (k * k * self._n**3).bit_length() + 1
+
+    @functools.cached_property
+    def _pack(self) -> tuple:
+        return (self._n, self._w * max(len(self.orders) - 1, 0), (1 << self._w) - 1)
+
+    @functools.cached_property
+    def _b_packed(self) -> tuple:
+        w, shift = self._w, self._pack[1]
+        return tuple(sum(v << shift - w * j for j, v in enumerate(row)) for row in self._b)
 
     @property
     def q_diag(self) -> tuple:

@@ -4,10 +4,13 @@ quotients l^perp/Zl, transvections and the stabilizer structure of O(L)^l.
 Isotropic enumeration is height-bounded and every result is labelled with
 its window; the sets I^d(L) are infinite, so no output ever claims global
 completeness.  The window scan walks the sign-normalised half of the
-(2h+1)^(n-1) prefixes of the first n-1 coordinates, keeping the partial
-norm and Gram products as running sums, and solves the norm, a quadratic in
-the last coordinate, exactly with math.isqrt.  Each vector found costs one
-more Gram product, which re-checks its norm and gives its divisor.
+(2h+1)^(n-2) heads of the first n-2 coordinates, keeping the partial norm
+and the Gram product G y as running sums.  For each head one solve finds
+every isotropic pair of last coordinates (z, t): the norm is a quadratic in
+t whose discriminant D(z) is a quadratic in z, and each z with D(z) a
+square (math.isqrt) gives its integer roots in ascending t, a double root
+once.  A vector found gets G v from G y and two columns of G in O(n)
+additions, which re-checks its norm and gives its divisor.
 
 The queries on one lattice share their work.  enumerate_isotropic and
 section_vector read one lazy window per (Gram, h), which advances the scan
@@ -96,32 +99,48 @@ class HyperbolicSplit:
         return intmat.matvec(self.complement_columns, comp_coords)
 
 
-def _last_coordinates(a: int, beta: int, q: int, h: int):
-    """Every t with |t| <= h and a t^2 + 2 beta t + q = 0, ascending."""
+def _prefix_points(a: int, e: int, d: int, beta: int, m: int, q: int, h: int, zs) -> list:
+    """Every (z, t) with z in zs, |t| <= h and a t^2 + 2 b t + c = 0, where
+    b = beta + e z and c = q + 2 m z + d z^2, ascending in z, then t.
+
+    With a != 0, a (a t^2 + 2 b t + c) = (a t + b)^2 - D(z), where
+    D(z) = b^2 - a c = (e^2 - a d) z^2 + 2 (beta e - a m) z + (beta^2 - a q),
+    so the roots are t = (-b -+ s) / a with s = isqrt(D(z)) when D(z) is a
+    square.  They are taken in the order of s sign(a), which lists them
+    ascending, and a double root (s = 0) once.
+    """
+    points = []
     if a:
-        # a (a t^2 + 2 beta t + q) = (a t + beta)^2 - (beta^2 - a q)
-        disc = beta * beta - a * q
-        if disc < 0:
-            return ()
-        s = math.isqrt(disc)
-        if s * s != disc:
-            return ()
-        roots = {(r - beta) // a for r in (s, -s) if (r - beta) % a == 0}
-        return sorted(t for t in roots if abs(t) <= h)
-    if beta:
-        if q % (2 * beta):
-            return ()
-        t = -q // (2 * beta)
-        return (t,) if abs(t) <= h else ()
-    return () if q else range(-h, h + 1)
+        d2, d1, d0 = e * e - a * d, 2 * (beta * e - a * m), beta * beta - a * q
+        for z in zs:
+            disc = (d2 * z + d1) * z + d0
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            if s * s != disc:
+                continue
+            b = beta + e * z
+            if a < 0:
+                s = -s
+            for r in (-b - s, -b + s) if s else (-b,):
+                if r % a == 0 and -h <= r // a <= h:
+                    points.append((z, r // a))
+        return points
+    for z in zs:
+        b, c = beta + e * z, q + z * (2 * m + d * z)
+        if b:
+            if c % (2 * b) == 0 and -h <= -c // (2 * b) <= h:
+                points.append((z, -c // (2 * b)))
+        elif not c:
+            points.extend((z, t) for t in range(-h, h + 1))
+    return points
 
 
-def _tagged(lattice: EvenLattice, v: tuple) -> IsotropicVector:
-    """v with its divisor gcd(G v); v . G v = 0 re-checks the norm."""
-    w = intmat.matvec(lattice.gram, v)
+def _tagged(v: tuple, w) -> IsotropicVector:
+    """v with its divisor gcd(w), where w = G v; v . w = 0 re-checks the norm."""
     if sum(map(operator.mul, v, w)) != 0:
         raise AssertionError(f"window scan produced {list(v)}, which is not isotropic")
-    return IsotropicVector(v, intmat.vec_gcd(w))
+    return IsotropicVector(v, math.gcd(*w))
 
 
 def _check_height_bound(height_bound: int) -> None:
@@ -132,21 +151,23 @@ def _check_height_bound(height_bound: int) -> None:
 def _scan_isotropic(lattice: EvenLattice, height_bound: int):
     """Lazy enumerate_isotropic: the same vectors, tagged, in the same order.
 
-    A vector v = (y, z, t) has prefix x' = (y, z).  With a = G[n-1][n-1],
-    beta = sum_i G[n-1][i] x'_i and Q = x'^T G' x', G' the leading
-    (n-1)x(n-1) block, its norm is a t^2 + 2 beta t + Q, so
-    _last_coordinates finds every isotropic t of a prefix in ints.  Only
-    prefixes whose first nonzero entry is positive are walked (the zero
-    prefix gives (0, ..., 0, 1) when a = 0), so each vector comes out once
-    and sign-normalised.  Prefixes come in lexicographic order and the t of
-    a prefix ascending, so the vectors do too.
+    A vector is v = (y, z, t), with y its first n - 2 entries, the head.
+    With a = G[n-1][n-1], d = G[n-2][n-2], e = G[n-1][n-2], Q = y^T G y,
+    m = (G y)[n-2] and beta = (G y)[n-1], its norm is
+    a t^2 + 2 (beta + e z) t + (Q + 2 m z + d z^2), so _prefix_points
+    finds every isotropic (z, t) of a head in one call, from the
+    discriminant D(z) in t, in ints.  Only prefixes (y, z) whose first
+    nonzero entry is positive are walked (the zero prefix gives
+    (0, ..., 0, 1) when a = 0), so each vector comes out once and
+    sign-normalised.  Heads come in lexicographic order and the (z, t) of
+    a head in ascending z, then t, so the vectors do too.
 
-    The y are walked depth first.  Setting entry k to c adds
-    c (2 lin[k] + G[k][k] c) to y^T G y, where lin[j] = sum_i G[j][i] y_i
-    over the entries set so far, adds c G[k][j] to each later lin[j] and
-    takes c into gcd(y), so a prefix costs O(n) additions.  With
-    d = G[n-2][n-2] and e = G[n-1][n-2], Q = y^T G y + z (2 lin[n-2] + d z)
-    and beta = lin[n-1] + e z.  gcd(y) = 0 marks the zero prefix, and
+    The heads are walked depth first.  Setting entry k to c adds
+    c (2 lin[k] + G[k][k] c) to y^T G y, where lin = G y over the entries
+    set so far, adds c G[k][j] to each lin[j] and takes c into gcd(y), so
+    a head costs O(n) additions.  A vector found has
+    G v = lin + z G[n-2] + t G[n-1], from which v . G v = 0 re-checks its
+    norm and gcd(G v) is its divisor.  gcd(y) = 0 marks the zero head, and
     gcd(gcd(y), z, t) = 1 is primitivity.
     """
     _check_height_bound(height_bound)
@@ -157,27 +178,24 @@ def _scan_isotropic(lattice: EvenLattice, height_bound: int):
     g = lattice.gram
     head = n - 2
     a, d, e = g[-1][-1], g[-2][-2], g[-1][-2]
+    g_z, g_t = g[-2], g[-1]  # columns n-2 and n-1 of the symmetric G
     window, positive = range(-h, h + 1), range(1, h + 1)
     if a == 0:
-        yield _tagged(lattice, (0,) * (n - 1) + (1,))
+        yield _tagged((0,) * (n - 1) + (1,), g_t)
 
     def walk(y, q_y, lin, div):
-        # lin holds lin[j] for j >= len(y)
         k = len(y)
         if k == head:
-            m_y, beta_y = lin
-            for z in window if div else positive:
-                for t in _last_coordinates(a, beta_y + e * z, q_y + z * (2 * m_y + d * z), h):
-                    if math.gcd(div, z, t) == 1:
-                        yield _tagged(lattice, y + (z, t))
+            for z, t in _prefix_points(a, e, d, lin[-1], lin[-2], q_y, h, window if div else positive):
+                if math.gcd(div, z, t) == 1:
+                    yield _tagged(y + (z, t), [l + z * r + t * s for l, r, s in zip(lin, g_z, g_t)])
             return
-        g_kk, row = g[k][k], g[k][k + 1 :]
-        lin_k, rest = lin[0], lin[1:]
+        g_kk, row, lin_k = g[k][k], g[k], lin[k]
         for c in window if div else range(h + 1):
             yield from walk(
                 y + (c,),
                 q_y + c * (2 * lin_k + g_kk * c),
-                [l + c * r for l, r in zip(rest, row)],
+                [l + c * r for l, r in zip(lin, row)],
                 math.gcd(div, c),
             )
 

@@ -286,7 +286,8 @@ def rescale(lattice: EvenLattice, factor) -> EvenLattice:
 
 
 def signature(lattice: EvenLattice) -> tuple:
-    """(p, q) by exact symmetric elimination in integers.
+    """(p, q) by exact symmetric elimination in integers, computed once per
+    Gram matrix and then read from a bounded cache.
 
     Each step clears column k below the pivot p by the row operation
     R_i <- p R_i - f R_k and the matching column operation.  Together they
@@ -296,8 +297,13 @@ def signature(lattice: EvenLattice) -> tuple:
     leading pivot is repaired by an integral basis change, never by
     perturbation.
     """
-    n = lattice.rank
-    a = [list(row) for row in lattice.gram]
+    return _signature_cached(lattice.gram)
+
+
+@functools.lru_cache(maxsize=256)
+def _signature_cached(gram: Matrix) -> tuple:
+    n = len(gram)
+    a = [list(row) for row in gram]
     pos = neg = 0
     for k in range(n):
         if a[k][k] == 0:

@@ -38,6 +38,7 @@ from cuspcount.lattices import (
     EvenLattice,
     LatticeIsometry,
     orthogonal_complement,
+    signature,
 )
 
 
@@ -571,13 +572,26 @@ class TestAutGroupOnHandBuiltForms:
 
 class TestBoundedCaches:
     def test_caches_stop_growing_at_maxsize(self):
-        from cuspcount.lattices import _det_cached
+        from cuspcount.lattices import _det_cached, _signature_cached
 
-        for cache in (_disc_data, _det_cached):
+        caches = (_disc_data, _det_cached, _signature_cached)
+        for cache in caches:
             assert cache.cache_info().maxsize is not None
-        bound = max(_disc_data.cache_info().maxsize, _det_cached.cache_info().maxsize)
+        bound = max(cache.cache_info().maxsize for cache in caches)
         for k in range(1, bound + 50):
             discriminant_form(diag(2 * k))
-        for cache in (_disc_data, _det_cached):
+            signature(diag(2 * k))
+        for cache in caches:
             info = cache.cache_info()
             assert info.currsize <= info.maxsize
+
+    def test_signature_is_computed_once_per_gram(self):
+        from cuspcount.lattices import _signature_cached
+
+        gram = ((0, 3, 0, 0), (3, 0, 0, 0), (0, 0, -2, 1), (0, 0, 1, -4))
+        first, second = EvenLattice(gram), EvenLattice(gram)
+        before = _signature_cached.cache_info()
+        assert signature(first) == signature(second) == _signature_cached.__wrapped__(gram) == (1, 3)
+        after = _signature_cached.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == 2
+        assert after.misses - before.misses <= 1

@@ -22,7 +22,7 @@ from cuspcount.isotropic import (
     check_div_square,
     classify_i1_orbits,
     enumerate_isotropic,
-    _last_coordinates,
+    _prefix_points,
     hyperbolic_completion,
     is_standard_plane,
     projection_isometry,
@@ -153,22 +153,34 @@ def indefinite_grams(draw):
 @example([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, -2, 0, 0], [0, 0, 0, -2, 1], [0, 0, 0, 1, -2]], 3)  # A(2) last
 @example([[-2, 1, 0, 0], [1, -2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 3)  # U last: a = d = 0, e != 0
 @example([[2, 0, 0, 0, 0], [0, -2, 1, 0, 0], [0, 1, -2, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]], 3)  # <2>+A(2)+U
+@example([[-2, 1, 0], [1, -2, 2], [0, 2, -2]], 4)  # trailing block with e^2 = ad: D(z) linear in z
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, -2]], 3)  # U+diag(2,-2): a < 0, e^2 - ad > 0
 def test_prefix_scan_matches_box_scan(gram, h):
+    """The vectors and divisors of the full box scan, in its order.  With
+    TestPrefixPoints this catches four broken scans: the roots of an a < 0
+    head not put in ascending order, a double root listed twice, G y
+    carrying only its entries j >= k (wrong divisors), and gcd(y) dropped
+    from the primitivity test (vectors with gcd(z, t) != 1 lost)."""
     lattice = make_lattice(gram)
     h = min(h, 3) if lattice.rank == 5 else h  # keeps the reference box at <= 7^5 points
     got = [(iv.vector, iv.divisor) for iv in enumerate_isotropic(lattice, h)]
     assert got == reference_enumerate(lattice, h)
 
 
+def _head_norm(a, e, d, beta, m, q, z, t):
+    """The norm of (y, z, t), from the state that the scan keeps for its head y."""
+    return a * t * t + 2 * (beta + e * z) * t + q + 2 * m * z + d * z * z
+
+
 def test_scan_rechecks_the_norm(monkeypatch):
-    """A root solver that returns only non-roots must trip the norm re-check
+    """A prefix solver that returns only non-roots must trip the norm re-check
     of every vector the scan yields, before section_vector can return one."""
 
-    def non_roots(a, beta, q, h):
-        return [t for t in range(-h, h + 1) if a * t * t + 2 * beta * t + q]
+    def non_roots(a, e, d, beta, m, q, h, zs):
+        return [(z, t) for z in zs for t in range(-h, h + 1) if _head_norm(a, e, d, beta, m, q, z, t)]
 
     isotropic._window.cache_clear()  # a shared window read before would skip the scan
-    monkeypatch.setattr(isotropic, "_last_coordinates", non_roots)
+    monkeypatch.setattr(isotropic, "_prefix_points", non_roots)
     lattice = parse_lattice_spec("U+A(2)")
     assert lattice.gram[-1][-1] != 0  # no zero-prefix vector before the walk
     with pytest.raises(AssertionError, match="not isotropic"):
@@ -177,8 +189,13 @@ def test_scan_rechecks_the_norm(monkeypatch):
         section_vector(lattice, 2)
 
 
-class TestLastCoordinates:
-    """Every t in [-h, h] with a t^2 + 2 beta t + q = 0, one case per branch."""
+def _brute_points(a, e, d, beta, m, q, h, zs):
+    return [(z, t) for z in zs for t in range(-h, h + 1) if _head_norm(a, e, d, beta, m, q, z, t) == 0]
+
+
+class TestPrefixPoints:
+    """Every (z, t) with |t| <= h and a t^2 + 2 (beta + e z) t + (q + 2 m z + d z^2) = 0,
+    ascending in z, then t; one case per branch."""
 
     @pytest.mark.parametrize(
         "a, beta, q, h, want",
@@ -199,8 +216,36 @@ class TestLastCoordinates:
             (0, 0, 2, 2, []),  # a = beta = 0, q != 0
         ],
     )
-    def test_branches(self, a, beta, q, h, want):
-        assert list(_last_coordinates(a, beta, q, h)) == want
+    def test_z_zero(self, a, beta, q, h, want):
+        assert _prefix_points(a, 0, 0, beta, 0, q, h, (0,)) == [(0, t) for t in want]
+
+    @pytest.mark.parametrize(
+        "a, e, d, beta, m, q, h, want",
+        [
+            # e^2 - ad = 4 > 0, a < 0: t = +-z, the double root t = 0 once
+            (-2, 0, 2, 0, 0, 0, 2, [(-2, -2), (-2, 2), (-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1), (2, -2), (2, 2)]),
+            # e^2 - ad = -3 < 0: t^2 + z t + z^2 = 1, D(z) < 0 at z = +-2
+            (2, 1, 2, 0, 0, -2, 2, [(-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)]),
+            # e^2 = ad: -2 (t - z)^2 = 0, a double root per z, cut by the window at z = +-2
+            (-2, 2, -2, 0, 0, 0, 1, [(-1, -1), (0, 0), (1, 1)]),
+            # a = 0, e != 0: 2 (1 + z) t = 0, every t where beta + e z = 0
+            (0, 1, 0, 1, 0, 0, 1, [(-2, 0), (-1, -1), (-1, 0), (-1, 1), (0, 0), (1, 0), (2, 0)]),
+            # a = e = 0: 2 - 2 z^2 = 0 at z = +-1, with every t
+            (0, 0, -2, 0, 0, 2, 1, [(-1, -1), (-1, 0), (-1, 1), (1, -1), (1, 0), (1, 1)]),
+        ],
+    )
+    def test_branches(self, a, e, d, beta, m, q, h, want):
+        zs = range(-2, 3)
+        assert _prefix_points(a, e, d, beta, m, q, h, zs) == want == _brute_points(a, e, d, beta, m, q, h, zs)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(-4, 4), st.integers(-3, 3), st.integers(-4, 4),
+        st.integers(-6, 6), st.integers(-6, 6), st.integers(-12, 12), st.integers(1, 3), st.booleans(),
+    )
+    def test_every_root_in_order(self, a, e, d, beta, m, q, h, positive):
+        zs = range(1, h + 1) if positive else range(-h, h + 1)
+        assert _prefix_points(a, e, d, beta, m, q, h, zs) == _brute_points(a, e, d, beta, m, q, h, zs)
 
     def test_every_last_coordinate(self):
         vectors = [iv.vector for iv in enumerate_isotropic(sums(U(1), U(1)), 2)]

@@ -197,3 +197,12 @@ def test_lazy_last_list_is_the_pairing_near_the_bound(near_bound):
             gen_b = [[0, want], [want, 0]]
             got = list(_place_images(form._pack, [[x], cands], gen_b, []))
             assert got == [(x[0], c[0]) for c in cands if form._bn(c[0], x[0]) == want]
+
+
+def test_the_packing_is_built_on_first_use():
+    # most forms are never searched, so validation builds no packed field
+    form = discriminant_form(parse_lattice_spec("U(2)+U(6)"))
+    fresh = FiniteQuadraticForm(form.orders, form.q_diag, form.b_mat)
+    assert not {"_w", "_pack", "_b_packed"} & set(vars(fresh))
+    assert (fresh._w, fresh._pack, fresh._b_packed) == (form._w, form._pack, form._b_packed)
+    assert {"_w", "_pack", "_b_packed"} <= set(vars(fresh))
