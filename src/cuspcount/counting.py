@@ -14,7 +14,6 @@ or one stabilizer image per isotropic orbit for elliptic pairs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
@@ -45,6 +44,7 @@ from .isotropic import (
 from .lattices import (
     EvenLattice,
     LatticeIsometry,
+    _Frozen,
     direct_sum,
     is_hyperbolic_shape,
     is_indefinite,
@@ -70,12 +70,11 @@ def num_prime_factors(n: int) -> int:
     return len(_prime_factors(n))
 
 
-@dataclass(frozen=True)
-class CountReport:
-    value: int
-    route: str
-    exact: bool
-    window_note: str
+class CountReport(_Frozen):
+    _fields = ("value", "route", "exact", "window_note")
+
+    def __init__(self, value: int, route: str, exact: bool, window_note: str):
+        self._assign(value, route, exact, window_note)
 
     def to_dict(self) -> dict:
         return {
@@ -86,38 +85,39 @@ class CountReport:
         }
 
 
-@dataclass(frozen=True)
-class OMGenerators:
-    """Generators of (a subgroup of) O(M), with a completeness attestation."""
+class OMGenerators(_Frozen):
+    """Generators of (a subgroup of) O(M), LatticeIsometry entries, with a
+    completeness attestation."""
 
-    generators: tuple  # LatticeIsometry entries
-    complete: bool
+    _fields = ("generators", "complete")
+
+    def __init__(self, generators: tuple, complete: bool):
+        self._assign(generators, complete)
 
 
-@dataclass(frozen=True)
-class IsotropicOrbitDatum:
+class IsotropicOrbitDatum(_Frozen):
     """One O(M)-orbit on I(M): a representative and r_M(O(M)^k).
 
     stabilizer_image = None means the stabilizer is unknown; counting then
     scores the orbit with its certified minimum of one class.
     """
 
-    vector: tuple
-    stabilizer_image: Optional[FqfSubgroup]
-    complete: bool
+    _fields = ("vector", "stabilizer_image", "complete")
+
+    def __init__(self, vector: tuple, stabilizer_image: Optional[FqfSubgroup], complete: bool):
+        self._assign(vector, stabilizer_image, complete)
 
 
-@dataclass(frozen=True)
-class K3Model:
+class K3Model(_Frozen):
     """Hyperbolic Picard lattice plus the allowed symmetries on its
     discriminant form (default: plus/minus identity, the generic case).
     hodge_image is also the image of the orientation-preserving half: an
     orientation flip acts trivially on A."""
 
-    ns: EvenLattice
-    hodge_image: FqfSubgroup
+    _fields = ("ns", "hodge_image")
 
-    def __post_init__(self):
+    def __init__(self, ns: EvenLattice, hodge_image: FqfSubgroup):
+        self._assign(ns, hodge_image)
         p, q = signature(self.ns)
         if p != 1 or q != self.ns.rank - 1:
             raise BadParams(f"Picard lattice must have signature (1, rank-1), got {(p, q)}")
@@ -421,11 +421,13 @@ def mu1_fiber_ur(r: int) -> CountReport:
     return CountReport(value, ROUTE_UR, True, note)
 
 
-@dataclass(frozen=True)
-class RouteCrosscheck:
-    passed: bool
-    fm: CountReport
-    cusp_counts: tuple  # ((d, count), ...) over divisors of the exponent
+class RouteCrosscheck(_Frozen):
+    """cusp_counts is ((d, count), ...) over the divisors d of the exponent."""
+
+    _fields = ("passed", "fm", "cusp_counts")
+
+    def __init__(self, passed: bool, fm: CountReport, cusp_counts: tuple):
+        self._assign(passed, fm, cusp_counts)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -454,23 +456,21 @@ def route_crosscheck(
     return RouteCrosscheck(passed, fm, per_d)
 
 
-@dataclass(frozen=True)
-class UrExampleReport:
-    r: int
-    tau: int
-    phi: int
-    genus_classes: tuple
-    genus_singleton: bool
-    fm: CountReport
-    fm_expected: int
-    one_dim_distinct: bool
-    fm_ell: CountReport
-    fm_ell_expected: int
-    mu1: CountReport
-    mu1_expected: int
-    cusps_one_dim: int
-    cusps_expected: int
-    passed: bool
+class UrExampleReport(_Frozen):
+    _fields = (
+        "r", "tau", "phi", "genus_classes", "genus_singleton", "fm", "fm_expected", "one_dim_distinct",
+        "fm_ell", "fm_ell_expected", "mu1", "mu1_expected", "cusps_one_dim", "cusps_expected", "passed",
+    )
+
+    def __init__(
+        self, r: int, tau: int, phi: int, genus_classes: tuple, genus_singleton: bool, fm: CountReport,
+        fm_expected: int, one_dim_distinct: bool, fm_ell: CountReport, fm_ell_expected: int,
+        mu1: CountReport, mu1_expected: int, cusps_one_dim: int, cusps_expected: int, passed: bool,
+    ):
+        self._assign(
+            r, tau, phi, genus_classes, genus_singleton, fm, fm_expected, one_dim_distinct,
+            fm_ell, fm_ell_expected, mu1, mu1_expected, cusps_one_dim, cusps_expected, passed,
+        )
 
     def to_dict(self) -> dict:
         return {

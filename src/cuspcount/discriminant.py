@@ -28,7 +28,6 @@ import functools
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Optional
@@ -43,7 +42,7 @@ from .errors import (
     SubgroupNotContained,
 )
 from .intmat import Matrix
-from .lattices import EvenLattice, LatticeIsometry, signature
+from .lattices import EvenLattice, LatticeIsometry, _Frozen, signature
 
 DEFAULT_BUDGET = 10_000
 BUDGET_ENV_VAR = "CUSPCOUNT_BUDGET"
@@ -113,8 +112,7 @@ def _group_tables(orders: tuple) -> tuple:
     return need, blocks
 
 
-@dataclass(frozen=True, init=False)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(_Frozen):
     """Finite abelian group with q: A -> Q/2Z and b: A x A -> Q/Z.
 
     It is built from exact Fractions in canonical residues (q_diag, b_mat),
@@ -123,11 +121,12 @@ class FiniteQuadraticForm:
     mod 2N and _b[i][j] = N b(g_i, g_j) mod N.  They are exact, because
     d_i q(g_i) and d_i b(g_i, g_j) are integers and d_i | N.  b is
     nondegenerate: b(x, y) = 0 for every y only when x = 0.
+
+    orders are the invariant factors > 1, an ascending divisibility chain;
+    _q[i] lies in [0, 2N), _b[i][j] in [0, N), and _b[i][i] == _q[i] mod N.
     """
 
-    orders: tuple  # invariant factors > 1, ascending divisibility chain
-    _q: tuple  # N q(g_i) in [0, 2N) per generator
-    _b: tuple  # N b(g_i, g_j) in [0, N) per generator pair; _b[i][i] == _q[i] mod N
+    _fields = ("orders", "_q", "_b")
 
     def __init__(self, orders, q_diag, b_mat):
         """q_diag: q(g_i) in [0, 2); b_mat: b(g_i, g_j) in [0, 1); both exact.
@@ -305,14 +304,16 @@ class FiniteQuadraticForm:
         return FiniteQuadraticForm((), (), ())
 
 
-@dataclass(frozen=True)
-class _DiscData:
-    lattice: EvenLattice
-    form: FiniteQuadraticForm
-    dvec: tuple  # all invariant factors of the Gram matrix
-    keep: tuple  # indices with d_i > 1
-    u: Matrix  # U G V = diag(dvec)
-    v: Matrix
+class _DiscData(_Frozen):
+    """dvec holds all invariant factors of the Gram matrix G, keep the
+    indices with d_i > 1, and U G V = diag(dvec) for u = U and v = V."""
+
+    _fields = ("lattice", "form", "dvec", "keep", "u", "v")
+
+    def __init__(
+        self, lattice: EvenLattice, form: FiniteQuadraticForm, dvec: tuple, keep: tuple, u: Matrix, v: Matrix
+    ):
+        self._assign(lattice, form, dvec, keep, u, v)
 
     def lift(self, element) -> tuple:
         """Rational L-coordinates of a representative in the dual lattice."""
@@ -405,8 +406,7 @@ def _inverse_mod(mat: Matrix, orders: tuple) -> Matrix:
     return prev
 
 
-@dataclass(frozen=True)
-class FqfIsometry:
+class FqfIsometry(_Frozen):
     """Automorphism of a finite quadratic form, as a matrix on generators.
 
     Column j holds the image of generator g_j; row i is reduced mod d_i.
@@ -414,11 +414,11 @@ class FqfIsometry:
     nondegenerate, so it is an automorphism.
     """
 
-    form: FiniteQuadraticForm
-    matrix: Matrix
+    _fields = ("form", "matrix")
 
-    def __post_init__(self):
-        form = self.form
+    def __init__(self, form: FiniteQuadraticForm, matrix: Matrix):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "matrix", matrix)
         k = form.ngens
         if k and intmat.shape(self.matrix) != (k, k):
             raise NotIsometry("automorphism matrix has wrong shape")
@@ -467,9 +467,9 @@ class FqfIsometry:
 
     @classmethod
     def _certified(cls, form: FiniteQuadraticForm, matrix: Matrix) -> "FqfIsometry":
-        """An element of O(A, q) from its reduced matrix, without
-        __post_init__: for an element made inside one form from checked
-        ones (see the module docstring)."""
+        """An element of O(A, q) from its reduced matrix, without the
+        checks of __init__: for an element made inside one form from
+        checked ones (see the module docstring)."""
         iso = object.__new__(cls)
         object.__setattr__(iso, "form", form)
         object.__setattr__(iso, "matrix", matrix)
@@ -483,13 +483,15 @@ class FqfIsometry:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class FqfSubgroup:
-    """Subgroup of O(A, q), held as its elements.  Two subgroups are equal
-    when they act on one form with the same elements."""
+class FqfSubgroup(_Frozen):
+    """Subgroup of O(A, q), held as its elements, the closure sorted by
+    matrix.  Two subgroups are equal when they act on one form with the
+    same elements."""
 
-    form: FiniteQuadraticForm
-    elements: tuple  # closure, canonically sorted by matrix
+    _fields = ("form", "elements")
+
+    def __init__(self, form: FiniteQuadraticForm, elements: tuple):
+        self._assign(form, elements)
 
     def order(self) -> int:
         return len(self.elements)
@@ -1063,10 +1065,11 @@ def fqf_isomorphism(source: FiniteQuadraticForm, target: FiniteQuadraticForm) ->
     return witness
 
 
-@dataclass(frozen=True)
-class IsogenyResult:
-    isogenus: bool
-    witness: Optional[Matrix]
+class IsogenyResult(_Frozen):
+    _fields = ("isogenus", "witness")
+
+    def __init__(self, isogenus: bool, witness: Optional[Matrix]):
+        self._assign(isogenus, witness)
 
     def __bool__(self) -> bool:
         return self.isogenus

@@ -10,7 +10,6 @@ a unique [[2a, k], [k, 0]] per isotropic line) and the non-square case
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional
 
@@ -22,7 +21,7 @@ from .discriminant import (
     fqf_isomorphism,
 )
 from .errors import BoundTooSmall, NotRank2
-from .lattices import EvenLattice, LatticeMap, is_indefinite, restricted_gram, signature
+from .lattices import EvenLattice, LatticeMap, _Frozen, is_indefinite, restricted_gram, signature
 
 
 def nikulin_unique(lattice: EvenLattice) -> bool:
@@ -32,11 +31,11 @@ def nikulin_unique(lattice: EvenLattice) -> bool:
     return lattice.rank >= discriminant_form(lattice).ngens + 2
 
 
-@dataclass(frozen=True)
-class GenusQuery:
-    signature: tuple
-    target_form: FiniteQuadraticForm
-    search_bound: int
+class GenusQuery(_Frozen):
+    _fields = ("signature", "target_form", "search_bound")
+
+    def __init__(self, signature: tuple, target_form: FiniteQuadraticForm, search_bound: int):
+        self._assign(signature, target_form, search_bound)
 
 
 def _triple_of(lattice: EvenLattice):

@@ -27,7 +27,6 @@ import itertools
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 from . import intmat
@@ -48,6 +47,7 @@ from .lattices import (
     EvenLattice,
     LatticeIsometry,
     LatticeMap,
+    _Frozen,
     divisor,
     is_indefinite,
     is_primitive,
@@ -55,20 +55,22 @@ from .lattices import (
 )
 
 
-@dataclass(frozen=True)
-class IsotropicVector:
-    vector: tuple
-    divisor: int
+class IsotropicVector(_Frozen):
+    _fields = ("vector", "divisor")
+
+    def __init__(self, vector: tuple, divisor: int):
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "divisor", divisor)
 
 
-@dataclass(frozen=True)
-class IsotropicPlane:
-    """Primitive isotropic rank-2 sublattice spanned by two vectors."""
+class IsotropicPlane(_Frozen):
+    """Primitive isotropic rank-2 sublattice spanned by two vectors, the
+    pair of coordinate tuples `basis`."""
 
-    lattice: EvenLattice
-    basis: tuple  # pair of coordinate tuples
+    _fields = ("lattice", "basis")
 
-    def __post_init__(self):
+    def __init__(self, lattice: EvenLattice, basis: tuple):
+        self._assign(lattice, basis)
         v1, v2 = self.basis
         L = self.lattice
         if L.norm(v1) != 0 or L.norm(v2) != 0 or L.pair(v1, v2) != 0:
@@ -77,15 +79,15 @@ class IsotropicPlane:
             raise NotIsotropicPlane("the span is not a primitive rank-2 sublattice")
 
 
-@dataclass(frozen=True)
-class HyperbolicSplit:
+class HyperbolicSplit(_Frozen):
     """L = U + complement, with (e, f) = 1 and f isotropic of divisor 1."""
 
-    lattice: EvenLattice
-    e_image: tuple
-    f_image: tuple
-    complement: EvenLattice
-    complement_columns: Matrix
+    _fields = ("lattice", "e_image", "f_image", "complement", "complement_columns")
+
+    def __init__(
+        self, lattice: EvenLattice, e_image: tuple, f_image: tuple, complement: EvenLattice, complement_columns: Matrix
+    ):
+        self._assign(lattice, e_image, f_image, complement, complement_columns)
 
     def basis_matrix(self) -> Matrix:
         cols = [self.f_image, self.e_image] + intmat.columns(self.complement_columns)
@@ -458,13 +460,13 @@ def projection_isometry(lattice: EvenLattice, phi1: Embedding, phi2: Embedding) 
     return LatticeMap(k1, k2, intmat.from_columns(out_cols))
 
 
-@dataclass(frozen=True)
-class IsotropicOrbitClass:
+class IsotropicOrbitClass(_Frozen):
     """Window classification cell: vectors sharing the genus of l^perp/Zl."""
 
-    representative: IsotropicVector
-    vectors: tuple
-    quotient: EvenLattice
+    _fields = ("representative", "vectors", "quotient")
+
+    def __init__(self, representative: IsotropicVector, vectors: tuple, quotient: EvenLattice):
+        self._assign(representative, vectors, quotient)
 
 
 def classify_i1_orbits(

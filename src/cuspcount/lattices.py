@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -34,18 +33,62 @@ def _det_cached(gram: Matrix) -> int:
     return intmat.det(gram)
 
 
-@dataclass(frozen=True)
-class EvenLattice:
+class _Frozen:
+    """Immutable value with equality, hash and repr over the fields that a
+    subclass lists in _fields, in that order.
+
+    A subclass's __init__ stores its fields with object.__setattr__; any
+    later assignment or deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls._fields)
+        # the field tuple also for one field, so that hashes are hash(fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        # the same object has identical field tuples, which compare equal
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+
+class EvenLattice(_Frozen):
     """Nondegenerate even lattice given by its Gram matrix.
 
     Rank 0 (empty Gram) is allowed; it shows up as the quotient l^perp/Zl
     of a hyperbolic plane and as the neutral element of direct sums.
     """
 
-    gram: Matrix
+    _fields = ("gram",)
 
-    def __post_init__(self):
-        g = self.gram
+    def __init__(self, gram: Matrix):
+        object.__setattr__(self, "gram", gram)
+        g = gram
         n = len(g)
         for row in g:
             if len(row) != n:
@@ -78,15 +121,15 @@ class EvenLattice:
         return f"EvenLattice({[list(r) for r in self.gram]})"
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(_Frozen):
     """Pairing-preserving map between two lattices (columns = basis images)."""
 
-    source: EvenLattice
-    target: EvenLattice
-    matrix: Matrix
+    _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, source: EvenLattice, target: EvenLattice, matrix: Matrix):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
         rows, cols = intmat.shape(self.matrix)
         if (rows, cols) != (self.target.rank, self.source.rank):
             raise NotIsometry("map matrix shape does not match the lattices")
@@ -97,14 +140,14 @@ class LatticeMap:
         return intmat.matvec(self.matrix, v)
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(_Frozen):
     """Element of O(L): integer matrix with M^T G M = G and det +-1."""
 
-    lattice: EvenLattice
-    matrix: Matrix
+    _fields = ("lattice", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, lattice: EvenLattice, matrix: Matrix):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "matrix", matrix)
         n = self.lattice.rank
         if intmat.shape(self.matrix) != (n, n):
             raise NotIsometry("isometry matrix has wrong shape")
@@ -135,14 +178,14 @@ class LatticeIsometry:
         )
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Sublattice of `target` spanned by the columns of `matrix`."""
+class Embedding(_Frozen):
+    """Sublattice of `target` spanned by the columns of `matrix`, a
+    target.rank x k matrix."""
 
-    target: EvenLattice
-    matrix: Matrix  # target.rank x k
+    _fields = ("target", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, target: EvenLattice, matrix: Matrix):
+        self._assign(target, matrix)
         rows, cols = intmat.shape(self.matrix)
         if rows != self.target.rank:
             raise NotPrimitive("embedding columns live in the wrong ambient rank")
@@ -162,10 +205,11 @@ class Embedding:
 
 def _integer_matrix(data) -> Matrix:
     """Nested sequences as a frozen matrix; NotSymmetric unless they are
-    equal-length rows of integers."""
+    equal-length rows of integers.  A bool is not an integer here: JSON's
+    true and false are not entries."""
     try:
         rows = [list(row) for row in data]
-        integral = all(int(x) == x for row in rows for x in row)
+        integral = all(not isinstance(x, bool) and int(x) == x for row in rows for x in row)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral or any(len(row) != len(rows[0]) for row in rows):

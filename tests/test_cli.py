@@ -251,6 +251,23 @@ class TestExitCodes:
         path.write_text(json.dumps({"generators": generators}))
         self._assert_validation_error(capsys, "cusps", "U(3)", "--div", "1", "--hodge", str(path))
 
+    @pytest.mark.parametrize(
+        "name, content, argv",
+        [
+            ("gram.json", {"gram": [[False, True], [True, False]]}, ("disc",)),
+            ("gram.json", {"gram": [[True, 0], [0, -2]]}, ("disc",)),
+            ("hodge.json", {"generators": [[[True, 0], [0, True]]]}, ("fm", "count", "U(3)", "--hodge")),
+            ("hodge.json", {"generators": [[[0, 1], [True, 0]]]}, ("fm", "count", "U(3)", "--hodge")),
+        ],
+    )
+    def test_boolean_entries_are_not_integers(self, tmp_path, capsys, name, content, argv):
+        # JSON true/false would otherwise read as 1/0 and pass as U or the identity
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        code, out = run_cli(*argv, str(path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "cuspcount: expected a matrix: equal-length rows of integers\n"
+
     def test_directory_as_lattice_file(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         path.mkdir()

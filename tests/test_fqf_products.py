@@ -190,13 +190,13 @@ class TestClosure:
         form = discriminant_form(parse_lattice_spec("U(2)+U(4)"))
         gens = aut_group(form).elements[1::9]
         validated = []
-        post_init = FqfIsometry.__post_init__
+        init = FqfIsometry.__init__
 
-        def counting(self):
-            post_init(self)
+        def counting(self, *args):
+            init(self, *args)
             validated.append(self.matrix)
 
-        monkeypatch.setattr(FqfIsometry, "__post_init__", counting)
+        monkeypatch.setattr(FqfIsometry, "__init__", counting)
         closure = fqf_subgroup(form, gens)
         monkeypatch.undo()
         assert validated == []

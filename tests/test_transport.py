@@ -112,13 +112,13 @@ def test_moved_elements_are_checked_once(monkeypatch):
     full = aut_group(source)
     sub = fqf_subgroup(source, full.elements[1:3])
     built = []
-    check = FqfIsometry.__post_init__
+    check = FqfIsometry.__init__
 
-    def counted(self):
+    def counted(self, *args):
+        check(self, *args)
         built.append(self.matrix)
-        check(self)
 
-    monkeypatch.setattr(FqfIsometry, "__post_init__", counted)
+    monkeypatch.setattr(FqfIsometry, "__init__", counted)
     moved = transport_subgroup(full, target).elements
     assert built == []
     moved_sub = transport_subgroup(sub, target)
