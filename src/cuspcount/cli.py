@@ -7,6 +7,10 @@ fields in the report envelope (schema_version, command and, for a lattice,
 its gram).
 Exit codes: 0 success, 2 validation error, 3 enumeration budget exceeded.
 The enumeration budget can also be set via the CUSPCOUNT_BUDGET variable.
+
+This module imports only errors, lattices and discriminant, which main, the
+parser and disc, aut and isogenus need.  The other handlers import counting,
+genus or isotropic when they run, so a command loads only what it uses.
 """
 
 from __future__ import annotations
@@ -18,16 +22,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .counting import (
-    DEFAULT_HEIGHT_BOUND,
-    K3Model,
-    count_cusps_zero_dim,
-    count_fm,
-    count_fm_elliptic,
-    count_fm_elliptic_sec,
-    ur_example,
-)
 from .discriminant import (
+    DEFAULT_HEIGHT_BOUND,
     FqfIsometry,
     aut_group,
     discriminant_form,
@@ -37,15 +33,6 @@ from .discriminant import (
     resolve_budget,
 )
 from .errors import BadParams, BudgetExceeded, LatticeError, ParseError
-from .genus import GenusQuery, genus_representatives_rank2
-from .isotropic import (
-    _check_height_bound,
-    classify_i1_orbits,
-    enumerate_isotropic,
-    hyperbolic_completion,
-    split_from_pair,
-    transvection,
-)
 from .lattices import EvenLattice, _integer_matrix, direct_sum, make_lattice, named_lattice
 
 SCHEMA_VERSION = "1"
@@ -157,7 +144,10 @@ def _parse_vector(text: str) -> tuple:
         raise LatticeError(f"bad vector {text!r}: comma-separated integers expected") from exc
 
 
-def _model_for(lattice: EvenLattice, hodge_path) -> K3Model:
+def _model_for(lattice: EvenLattice, hodge_path):
+    """The K3Model of the lattice: generic, or with the --hodge generators."""
+    from .counting import K3Model
+
     if not hodge_path:
         return K3Model.generic(lattice)
     with open(hodge_path, "r", encoding="utf-8") as handle:
@@ -234,6 +224,8 @@ def _cmd_isogenus(args) -> dict:
 
 
 def _cmd_isotropic(args, lattice) -> dict:
+    from .isotropic import enumerate_isotropic
+
     if args.div is not None and args.div < 1:
         raise BadParams(f"the divisor must be at least 1, got {args.div}")
     vectors = enumerate_isotropic(lattice, args.bound)
@@ -249,6 +241,8 @@ def _cmd_isotropic(args, lattice) -> dict:
 
 
 def _cmd_transvect(args, lattice) -> dict:
+    from .isotropic import hyperbolic_completion, split_from_pair, transvection
+
     lvec = _parse_vector(args.l)
     if args.m:
         split = split_from_pair(lattice, lvec, _parse_vector(args.m))
@@ -268,6 +262,8 @@ def _cmd_transvect(args, lattice) -> dict:
 
 
 def _cmd_classify_i1(args, lattice) -> dict:
+    from .isotropic import classify_i1_orbits
+
     classes = classify_i1_orbits(lattice, args.bound, budget=args.budget)
     return {
         "window": args.bound,
@@ -284,6 +280,8 @@ def _cmd_classify_i1(args, lattice) -> dict:
 
 
 def _cmd_genus(args) -> dict:
+    from .genus import GenusQuery, genus_representatives_rank2
+
     try:
         p_str, q_str = args.sign.split(",")
         sig = (int(p_str), int(q_str))
@@ -304,6 +302,9 @@ def _cmd_genus(args) -> dict:
 
 
 def _cmd_fm(args, lattice) -> dict:
+    from .counting import count_cusps_zero_dim, count_fm, count_fm_elliptic, count_fm_elliptic_sec
+    from .isotropic import _check_height_bound
+
     model = _model_for(lattice, args.hodge)
     if args.mode == "twisted" and args.d is None:
         raise LatticeError("fm twisted needs --d")
@@ -333,6 +334,8 @@ def _cmd_fm(args, lattice) -> dict:
 
 
 def _cmd_cusps(args, lattice) -> dict:
+    from .counting import count_cusps_zero_dim
+
     model = _model_for(lattice, args.hodge)
     report = count_cusps_zero_dim(
         model, args.div, budget=args.budget, height_bound=args.bound
@@ -341,6 +344,8 @@ def _cmd_cusps(args, lattice) -> dict:
 
 
 def _cmd_verify_ur(args) -> dict:
+    from .counting import ur_example
+
     top = args.max_r if args.max_r is not None else args.r
     if top < max(args.r, 3):
         raise BadParams(f"verify-ur needs some r > 2 in [{args.r}, {top}]")

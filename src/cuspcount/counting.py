@@ -19,6 +19,7 @@ from typing import Optional
 
 from . import intmat
 from .discriminant import (
+    DEFAULT_HEIGHT_BOUND,
     FqfIsometry,
     FqfSubgroup,
     _disc_data,
@@ -51,8 +52,6 @@ from .lattices import (
     named_lattice,
     signature,
 )
-
-DEFAULT_HEIGHT_BOUND = 4
 
 ROUTE_DOUBLE_COSET = "double_coset"
 ROUTE_ORBIT = "orbit_on_A"

@@ -45,6 +45,9 @@ from .intmat import Matrix
 from .lattices import EvenLattice, LatticeIsometry, _Frozen, signature
 
 DEFAULT_BUDGET = 10_000
+# the default window |coords| <= h of the isotropic searches; kept here, not
+# in counting, so that the CLI parser can read it without importing counting
+DEFAULT_HEIGHT_BOUND = 4
 BUDGET_ENV_VAR = "CUSPCOUNT_BUDGET"
 MAX_SUBGROUP_ORDER = 1_000_000  # cap on the elements fqf_subgroup and _FullGroup build
 

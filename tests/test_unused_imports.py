@@ -1,10 +1,12 @@
-"""Every module-level import in src/cuspcount is used by its module.
+"""Every import in src/cuspcount is used where it is made.
 
 The source is read as an AST.  A name bound by a top-level import or
 from-import must appear as a name somewhere else in the module, or as the
-root of an attribute chain such as intmat.det.  __init__.py is exempt: its
-imports are the package's public re-exports.  from __future__ imports are
-compiler directives, not names, and are skipped.
+root of an attribute chain such as intmat.det.  A name bound by an import
+statement directly in a function's body must appear in that function: the CLI
+handlers import the modules that only they use, and a use elsewhere in the
+module does not count.  from __future__ imports are compiler directives,
+not names, and are skipped.
 """
 
 import ast
@@ -12,16 +14,12 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parent.parent / "src" / "cuspcount").glob("*.py")
-    if path.name != "__init__.py"
-)
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cuspcount").glob("*.py"))
 
 
-def imported_names(tree):
-    """(bound name, line) for each module-level import."""
-    for node in tree.body:
+def imported_names(body):
+    """(bound name, line) for each import statement of a body."""
+    for node in body:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0], node.lineno
@@ -31,8 +29,15 @@ def imported_names(tree):
 
 
 def unused_imports(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [(name, line) for name, line in imported_names(tree) if name not in used]
+    """(name, line) of each import that its module, or its function, never uses."""
+    scopes = [tree] + [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found = []
+    for scope in scopes:
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        found += [(name, line) for name, line in imported_names(scope.body) if name not in used]
+    return found
 
 
 def test_sources_found():
@@ -53,6 +58,15 @@ def test_no_unused_imports(path):
         ("import itertools", ["itertools"]),
         ("import os.path\n", ["os"]),
         ("from math import gcd as g\ngcd(1, 2)", ["g"]),
+        (
+            "def f():\n    from .counting import count_fm, ur_example\n    return count_fm(1)\n",
+            ["ur_example"],
+        ),
+        (
+            "from .genus import GenusQuery\nGenusQuery(1)\n"
+            "class C:\n    def f(self):\n        from .genus import GenusQuery\n        return 1\n",
+            ["GenusQuery"],
+        ),
     ],
 )
 def test_guard_catches(snippet, unused):
@@ -67,5 +81,8 @@ def test_guard_allows_used_names():
         "from .lattices import EvenLattice\n"
         "def f(x: EvenLattice):\n"
         "    return intmat.det(itertools.chain(x))\n"
+        "def g():\n"
+        "    from .genus import GenusQuery\n"
+        "    return GenusQuery\n"
     )
     assert unused_imports(ast.parse(source)) == []

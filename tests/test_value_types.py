@@ -1,5 +1,6 @@
 """The package's immutable value types: equality, hashing, immutability and
-repr over their fields, and a start-up that imports no dataclasses.
+repr over their fields, and a start-up that imports no dataclasses and loads
+only the submodules a caller uses.
 
 Each case builds an instance twice from equal fields, and once with one
 field changed, and names the fields in order, as the repr shows them.
@@ -197,12 +198,45 @@ def test_an_equal_lattice_is_a_disc_data_cache_hit():
     assert _disc_data.cache_info().hits == hits + 1
 
 
+def _cold_start(statement, *args):
+    """The modules a fresh interpreter (python -S, src on the path) has
+    loaded after running statement; sys.argv[2:] holds args."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); " + statement + "; "
+        "print(*sorted(sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, SRC, *args], capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
 def test_import_loads_no_dataclasses():
     """A cold start of the package and its CLI imports neither dataclasses
     nor inspect, which the dataclass machinery pulls in."""
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import cuspcount, cuspcount.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    out = subprocess.run([sys.executable, "-S", "-c", code, SRC], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert {"dataclasses", "inspect"} & _cold_start("import cuspcount, cuspcount.cli") == set()
+
+
+CORE = {"cuspcount", "cuspcount.discriminant", "cuspcount.errors", "cuspcount.intmat", "cuspcount.lattices"}
+CLI = CORE | {"cuspcount.cli"}
+MAIN = "from cuspcount.cli import main; main(sys.argv[2:])"
+
+
+@pytest.mark.parametrize(
+    "statement, args, loaded",
+    [
+        ("import cuspcount", (), {"cuspcount"}),
+        ("import cuspcount, cuspcount.cli", (), CLI),
+        ("import cuspcount; cuspcount.aut_group, cuspcount.double_coset_count", (), CORE),
+        ("from cuspcount import genus", (), CORE | {"cuspcount.genus"}),
+        (MAIN, ("disc", "U(3)"), CLI),
+        (MAIN, ("aut", "U(3)"), CLI),
+        (MAIN, ("isogenus", "U(3)", "U(3)"), CLI),
+        (MAIN, ("isotropic", "U+U", "--bound", "1"), CLI | {"cuspcount.isotropic"}),
+        (MAIN, ("fm", "count", "U(6)"), CLI | {"cuspcount.counting", "cuspcount.genus", "cuspcount.isotropic"}),
+    ],
+    ids=["package", "cli", "aut-library", "genus-submodule", "disc", "aut", "isogenus", "isotropic", "fm-count"],
+)
+def test_cold_start_loads_only_what_it_uses(statement, args, loaded):
+    """Importing the package loads no submodule; the CLI loads errors,
+    lattices and discriminant, and a command adds only the modules it runs."""
+    modules = _cold_start(statement, *args)
+    assert {name for name in modules if name.partition(".")[0] == "cuspcount"} == loaded
