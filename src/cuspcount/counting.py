@@ -374,25 +374,27 @@ def count_fm_elliptic_sec(
 
 
 def _ur_unit_lift(r: int, beta: int) -> tuple:
-    """The lift of mu1_fiber_ur for the unit beta of Z/r: its columns, the
-    images of l, m, e, f in U(r) + U, and the action (delta, beta) on
-    (l/r, m/r) that it must induce."""
+    """The lift of mu1_fiber_ur for the unit beta of Z/r: the rows of its
+    matrix on the basis l, m, e, f of U(r) + U, whose columns are the images
+    of l, m, e, f, and the action (delta, beta) on (l/r, m/r) that it must
+    induce."""
     alpha = 0 if beta == 1 else 1  # the least alpha >= 0 with gcd(beta, r*alpha) = 1
     _, delta, gamma = intmat.xgcd(beta, r * alpha)
-    cols = {
-        "l": (delta, 0, 0, -r * gamma),
-        "m": (0, beta, -r * alpha, 0),
-        "e": (0, gamma, delta, 0),
-        "f": (alpha, 0, 0, beta),
-    }
-    return cols, (delta, beta)
+    rows = (
+        (delta, 0, 0, alpha),
+        (0, beta, gamma, 0),
+        (0, -r * alpha, delta, 0),
+        (-r * gamma, 0, 0, beta),
+    )
+    return rows, (delta, beta)
 
 
 def mu1_fiber_ur(r: int) -> CountReport:
     """Fiber size of the one-dimensional boundary map for the U(r) family:
     units of Z/r modulo negation, with an explicit isometry verification.
 
-    For sampled (alpha, beta) with gcd(beta, r*alpha) = 1 the basis map
+    For every unit beta of Z/r, with alpha = 0 for beta = 1 and alpha = 1
+    otherwise (so gcd(beta, r*alpha) = 1), the basis map
     f -> alpha*l + beta*f, e -> gamma*m + delta*e, l -> delta*l - r*gamma*f,
     m -> beta*m - r*alpha*e (beta*delta + r*alpha*gamma = 1) is checked to
     be an isometry M of U(r) + U acting as diag(delta, beta) on (l/r, m/r).
@@ -410,11 +412,12 @@ def mu1_fiber_ur(r: int) -> CountReport:
     class_m = data.class_of((0, 1, 0, 0), r)
     form = data.form
     for beta in units:
-        cols, (on_l, on_m) = _ur_unit_lift(r, beta)
-        LatticeIsometry(ambient, intmat.from_columns(list(cols.values())))  # validates the lift
-        if data.class_of(cols["l"], r) != form.scale(on_l, class_l):
+        rows, (on_l, on_m) = _ur_unit_lift(r, beta)
+        LatticeIsometry(ambient, rows)  # validates the lift
+        image_l, image_m, _, _ = zip(*rows)
+        if data.class_of(image_l, r) != form.scale(on_l, class_l):
             raise AssertionError("discriminant action on l/r is not diag(delta, .)")
-        if data.class_of(cols["m"], r) != form.scale(on_m, class_m):
+        if data.class_of(image_m, r) != form.scale(on_m, class_m):
             raise AssertionError("discriminant action on m/r is not diag(., beta)")
     note = f"units of Z/{r} modulo negation; {len(units)} explicit isometry lifts verified"
     return CountReport(value, ROUTE_UR, True, note)

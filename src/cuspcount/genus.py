@@ -47,12 +47,13 @@ def _lattice_of(a: int, b: int, c: int) -> EvenLattice:
     return EvenLattice(((2 * a, b), (b, 2 * c)))
 
 
-def _invariant_factors(lattice: EvenLattice) -> tuple:
-    """Invariant factors > 1 of a rank-2 Gram matrix: g = gcd of the
-    entries, then |det| / g.  They are the orders of its discriminant form."""
-    (x, y), (_, z) = lattice.gram
-    g = gcd(x, y, z)
-    return tuple(d for d in (g, abs(x * z - y * y) // g) if d > 1)
+def _invariant_factors(triple) -> tuple:
+    """Invariant factors > 1 of the Gram [[2a, b], [b, 2c]] of (a, b, c):
+    g = gcd of the entries, then |det| / g.  They are the orders of its
+    discriminant form."""
+    a, b, c = triple
+    g = gcd(2 * a, b, 2 * c)
+    return tuple(d for d in (g, abs(4 * a * c - b * b) // g) if d > 1)
 
 
 def _apply(triple, t):
@@ -212,9 +213,15 @@ def _witness(left: EvenLattice, right: EvenLattice, basis_l, basis_r) -> Lattice
 
 
 def equivalent_rank2(left: EvenLattice, right: EvenLattice) -> Optional[LatticeMap]:
-    """Explicit isometry between rank-2 even lattices, or None."""
+    """Explicit isometry between rank-2 even lattices, or None.
+
+    Equal Gram matrices give the identity map, validated like any other
+    witness; unequal ones are reduced to a canonical form and compared.
+    """
     if left.rank != 2 or right.rank != 2:
         raise NotRank2("both lattices must have rank 2")
+    if left.gram == right.gram:
+        return LatticeMap(left, right, intmat.identity(2))
     if left.det() != right.det() or signature(left) != signature(right):
         return None
     det = left.det()
@@ -255,6 +262,7 @@ def equivalent_rank2(left: EvenLattice, right: EvenLattice) -> Optional[LatticeM
 
 
 def _definite_candidates(n: int, negative: bool):
+    """The Gauss-reduced (a, b, c) with 4ac - b^2 = n, negated if asked."""
     out = []
     for a in range(1, isqrt(n // 3) + 2):
         for b in range(0, a + 1):
@@ -263,20 +271,19 @@ def _definite_candidates(n: int, negative: bool):
             c = (n + b * b) // (4 * a)
             if c < a:
                 continue
-            triple = (a, b, c)
-            if negative:
-                triple = tuple(-x for x in triple)
-            out.append(_lattice_of(*triple))
+            out.append((-a, -b, -c) if negative else (a, b, c))
     return out
 
 
 def _indefinite_candidates(n: int):
+    """The reduced (a, b, c) with b^2 - 4ac = n: (a, k, 0), 0 <= a < k, for
+    n = k^2, else the reduced forms of the cycles."""
     d = n
     if d % 4 not in (0, 1):
         return []
     k = isqrt(d)
     if k * k == d:
-        return [_lattice_of(a, k, 0) for a in range(k)]
+        return [(a, k, 0) for a in range(k)]
     out = []
     for b in range(1, k + 1):
         if (d - b * b) % 4 != 0:
@@ -288,7 +295,7 @@ def _indefinite_candidates(n: int):
             for a in (a_abs, -a_abs):
                 c = -m // a
                 if _indef_reduced(a, b, c, d):
-                    out.append(_lattice_of(a, b, c))
+                    out.append((a, b, c))
     return out
 
 
@@ -318,10 +325,11 @@ def genus_representatives_rank2(query: GenusQuery, budget: Optional[int] = None)
     else:
         candidates = _indefinite_candidates(n)
     reps = []
-    for cand in candidates:
-        # fqf_isomorphism's first test, made before the form is built
-        if _invariant_factors(cand) != target.orders:
+    for triple in candidates:
+        # fqf_isomorphism's first test, made before the lattice is built
+        if _invariant_factors(triple) != target.orders:
             continue
+        cand = _lattice_of(*triple)
         if signature(cand) != query.signature:
             continue
         form = discriminant_form(cand)

@@ -442,12 +442,19 @@ def smith_normal_form(mat):
 
 def restricted_gram(lattice: EvenLattice, cols) -> Matrix:
     """Gram matrix of the sublattice spanned by the given columns: the table
-    of c_i . (G c_j), with each image G c_j taken once."""
+    of c_j . (G c_i), with each image G c_i taken once.  C^T G C is
+    symmetric, so only the upper triangle is computed (row i, entries
+    j >= i) and the lower one is mirrored from the rows above."""
     vecs = tuple(zip(*cols))
     if vecs and len(cols) != lattice.rank:
         raise ValueError(f"shape mismatch: {len(cols)} rows of columns for a rank {lattice.rank} lattice")
-    images = [tuple([sum(map(operator.mul, row, c)) for row in lattice.gram]) for c in vecs]
-    return tuple(tuple([sum(map(operator.mul, c, image)) for image in images]) for c in vecs)
+    out = []
+    for i, c in enumerate(vecs):
+        image = [sum(map(operator.mul, row, c)) for row in lattice.gram]
+        row = [above[i] for above in out]
+        row += [sum(map(operator.mul, d, image)) for d in vecs[i:]]
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def is_hyperbolic_shape(lattice: EvenLattice):

@@ -2,14 +2,14 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
-from cuspcount import intmat
+from cuspcount import genus, intmat
 from cuspcount.discriminant import FiniteQuadraticForm, FqfIsometry, FqfSubgroup, _group_tables, _p_valuation
-from cuspcount.errors import LatticeError
-from cuspcount.lattices import direct_sum, make_lattice, named_lattice
+from cuspcount.errors import LatticeError, NotRank2
+from cuspcount.lattices import direct_sum, make_lattice, named_lattice, signature
 
 
 def U(r=1):
@@ -410,3 +410,41 @@ def reference_validate(orders, q_diag, b_mat) -> tuple:
         if intmat.det(socle) % p == 0:
             raise LatticeError("b must be nondegenerate")
     return q_num, b_num
+
+
+def reference_equivalent_rank2(left, right):
+    """genus.equivalent_rank2 without the equal-Gram shortcut: every pair
+    takes the reduction route, equal Grams included."""
+    if left.rank != 2 or right.rank != 2:
+        raise NotRank2("both lattices must have rank 2")
+    if left.det() != right.det() or signature(left) != signature(right):
+        return None
+    det = left.det()
+    tl, tr = genus._triple_of(left), genus._triple_of(right)
+    if det > 0:
+        sign = 1 if left.gram[0][0] > 0 else -1
+        canon_l, basis_l = genus._reduce_definite(tuple(sign * x for x in tl))
+        canon_r, basis_r = genus._reduce_definite(tuple(sign * x for x in tr))
+        if canon_l != canon_r:
+            return None
+        return genus._witness(left, right, basis_l, basis_r)
+    d = -det
+    k = isqrt(d)
+    if k * k == d:
+        pairs_l = [genus._line_normal_form(left, line) for line in genus._isotropic_lines(tl)]
+        pairs_r = [genus._line_normal_form(right, line) for line in genus._isotropic_lines(tr)]
+        for a_l, _, basis_l in pairs_l:
+            for a_r, _, basis_r in pairs_r:
+                if a_l == a_r:
+                    return genus._witness(left, right, basis_l, basis_r)
+        return None
+    red_l, basis_l = genus._reduce_indefinite(tl, d)
+    for flip in (None, genus._FLIP):
+        triple_r = tr if flip is None else genus._apply(tr, flip)
+        pre = intmat.identity(2) if flip is None else flip
+        red_r, basis_r = genus._reduce_indefinite(triple_r, d)
+        for form, walk in genus._cycle_walk(red_r, d):
+            if form == red_l:
+                total_r = intmat.matmul(intmat.matmul(pre, basis_r), walk)
+                return genus._witness(left, right, basis_l, total_r)
+    return None

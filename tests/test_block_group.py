@@ -185,11 +185,16 @@ def test_mu1_class_check_matches_the_induced_map(r):
     for beta in range(1, r):
         if gcd(beta, r) != 1:
             continue
-        cols, (on_l, on_m) = counting._ur_unit_lift(r, beta)
-        lift = LatticeIsometry(ambient, intmat.from_columns(list(cols.values())))
+        rows, (on_l, on_m) = counting._ur_unit_lift(r, beta)
+        # the images of l, m, e, f as the docstring of mu1_fiber_ur gives them
+        alpha = 0 if beta == 1 else 1
+        _, delta, gamma = intmat.xgcd(beta, r * alpha)
+        cols = [(delta, 0, 0, -r * gamma), (0, beta, -r * alpha, 0), (0, gamma, delta, 0), (alpha, 0, 0, beta)]
+        assert rows == intmat.from_columns(cols)
+        lift = LatticeIsometry(ambient, rows)
         induced = natural_map(ambient, lift)  # the oracle
-        assert data.class_of(cols["l"], r) == induced.apply(class_l) == form.scale(on_l, class_l)
-        assert data.class_of(cols["m"], r) == induced.apply(class_m) == form.scale(on_m, class_m)
+        assert data.class_of(cols[0], r) == induced.apply(class_l) == form.scale(on_l, class_l)
+        assert data.class_of(cols[1], r) == induced.apply(class_m) == form.scale(on_m, class_m)
     assert mu1_fiber_ur(r).exact
 
 

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from conftest import U, diag, sums
+from conftest import U, diag, random_unimodular, reference_equivalent_rank2, sums
 
+from cuspcount import genus, intmat
 from cuspcount.discriminant import discriminant_form, fqf_isomorphism
 from cuspcount.errors import BoundTooSmall, BudgetExceeded, NotRank2
 from cuspcount.genus import (
@@ -11,7 +12,7 @@ from cuspcount.genus import (
     genus_representatives_rank2,
     nikulin_unique,
 )
-from cuspcount.lattices import EvenLattice, rescale, signature
+from cuspcount.lattices import EvenLattice, rescale, restricted_gram, signature
 
 
 class TestNikulinUnique:
@@ -137,3 +138,55 @@ class TestEquivalentRank2:
             reps = genus_representatives_rank2(GenusQuery((1, 1), form, 70))
             assert len(reps) == 1
             assert equivalent_rank2(reps[0], lattice) is not None
+
+
+def _nondegenerate_grams():
+    """Every nondegenerate [[2a, b], [b, 2c]] with a in -12..12, b in 0..12
+    and c in -13..13."""
+    return [
+        ((2 * a, b), (b, 2 * c))
+        for a in range(-12, 13)
+        for b in range(13)
+        for c in range(-13, 14)
+        if 4 * a * c != b * b
+    ]
+
+
+class TestEqualGramShortcut:
+    """equivalent_rank2 answers equal Grams with the identity; the
+    reduction route it skips (conftest.reference_equivalent_rank2) returns
+    the same witness, and unequal Grams still take that route."""
+
+    def test_equal_grams_give_the_reference_witness(self):
+        grams = _nondegenerate_grams()
+        assert len(grams) == 8692
+        for gram in grams:
+            lattice = EvenLattice(gram)
+            witness = equivalent_rank2(lattice, lattice)
+            assert witness == reference_equivalent_rank2(lattice, lattice)
+            assert witness.matrix == ((1, 0), (0, 1))
+
+    def test_a_new_basis_takes_the_reduction_route(self, rng, monkeypatch):
+        calls = []
+        real_witness = genus._witness
+
+        def witness_spy(*args):
+            calls.append(args)
+            return real_witness(*args)
+
+        monkeypatch.setattr(genus, "_witness", witness_spy)
+        checked = 0
+        for gram in rng.sample(_nondegenerate_grams(), 300):
+            lattice = EvenLattice(gram)
+            t = random_unimodular(2, rng)
+            twisted = EvenLattice(intmat.matmul(intmat.matmul(intmat.transpose(t), gram), t))
+            if twisted.gram == gram:
+                continue
+            del calls[:]
+            witness = equivalent_rank2(lattice, twisted)
+            assert len(calls) == 1  # the reduction route built the witness
+            assert witness is not None
+            assert restricted_gram(twisted, witness.matrix) == gram
+            assert witness == reference_equivalent_rank2(lattice, twisted)
+            checked += 1
+        assert checked >= 250

@@ -158,6 +158,27 @@ def test_restricted_gram_is_the_triple_product(pair):
     assert restricted_gram(lattice, cols) == want
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 7) for k in range(n + 1)])
+@settings(SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_restricted_gram_mirrors_one_triangle(n, k, data):
+    """restricted_gram computes the triangle j >= i and mirrors it; the whole
+    table is still C^T (G C), for every rank up to 6 and every k <= n."""
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * data.draw(st.integers(-3, 3))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = data.draw(st.integers(-6, 6))
+    assume(intmat.det(gram) != 0)
+    lattice = make_lattice(gram)
+    cols = tuple(tuple(data.draw(st.integers(-9, 9)) for _ in range(k)) for _ in range(n))
+    got = restricted_gram(lattice, cols)
+    if k == 0:
+        assert got == ()
+    else:
+        assert got == intmat.matmul(intmat.transpose(cols), intmat.matmul(lattice.gram, cols))
+
+
 def test_restricted_gram_checks_the_row_count():
     lattice = parse_lattice_spec("U+U")
     with pytest.raises(ValueError, match="shape mismatch"):

@@ -4,8 +4,11 @@ against the whole-group search and the unfiltered sweep they replaced.
 The references below are the earlier implementations, kept here only as
 oracles: fqf_isomorphism searched one pool of all |A| elements of the
 target, and genus_representatives_rank2 built the discriminant form of
-every candidate and tested it with that search.  The catalogue is every
-candidate the sweep generates for |disc| <= 200, definite and indefinite.
+every candidate and tested it with that search, deduplicating with the
+reduction route of equivalent_rank2 (conftest.reference_equivalent_rank2,
+which has no equal-Gram shortcut).  The sweep generates its candidates as
+(a, b, c) triples; the catalogue is every one of them for |disc| <= 200,
+definite and indefinite, as lattices.
 The reference search is memoised, so the sweep comparison reuses the pairs
 the search comparison has already decided.
 """
@@ -17,7 +20,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import U, corpus, negated, reference_image_assignments
+from conftest import U, corpus, negated, reference_equivalent_rank2, reference_image_assignments
 from cuspcount import counting, genus
 from cuspcount.cli import parse_lattice_spec
 from cuspcount.counting import ur_example
@@ -33,6 +36,7 @@ from cuspcount.genus import (
     _definite_candidates,
     _indefinite_candidates,
     _invariant_factors,
+    _lattice_of,
     equivalent_rank2,
     genus_representatives_rank2,
 )
@@ -70,16 +74,16 @@ def reference_genus_representatives_rank2(query, budget=None):
         )
     _check_budget(n, budget)
     if definite:
-        candidates = _definite_candidates(n, negative=q == 2)
+        triples = _definite_candidates(n, negative=q == 2)
     else:
-        candidates = _indefinite_candidates(n)
+        triples = _indefinite_candidates(n)
     reps = []
-    for cand in candidates:
+    for cand in (_lattice_of(*triple) for triple in triples):
         if signature(cand) != query.signature:
             continue
         if reference_fqf_isomorphism(discriminant_form(cand), target) is None:
             continue
-        if any(equivalent_rank2(seen, cand) is not None for seen in reps):
+        if any(reference_equivalent_rank2(seen, cand) is not None for seen in reps):
             continue
         reps.append(cand)
     return sorted(reps, key=lambda L: L.gram)
@@ -92,17 +96,23 @@ SIGNATURES = ((2, 0), (0, 2), (1, 1))
 
 
 @functools.cache
-def catalogue():
-    """(|disc|, lattice) for every rank-2 sweep candidate with |disc| <= 200."""
+def candidate_triples():
+    """(|disc|, (a, b, c)) for every rank-2 sweep candidate with |disc| <= 200."""
     out = []
     for n in range(1, MAX_DISC + 1):
-        lattices = (
+        triples = (
             _definite_candidates(n, negative=False)
             + _definite_candidates(n, negative=True)
             + _indefinite_candidates(n)
         )
-        out.extend((n, lattice) for lattice in lattices)
+        out.extend((n, triple) for triple in triples)
     return tuple(out)
+
+
+@functools.cache
+def catalogue():
+    """(|disc|, lattice) for every rank-2 sweep candidate with |disc| <= 200."""
+    return tuple((n, _lattice_of(*triple)) for n, triple in candidate_triples())
 
 
 @functools.cache
@@ -203,8 +213,23 @@ def _compare(source, target, tally):
 
 
 def test_invariant_factors_are_the_form_orders():
-    for _, lattice in catalogue():
-        assert _invariant_factors(lattice) == discriminant_form(lattice).orders
+    for _, triple in candidate_triples():
+        assert _invariant_factors(triple) == discriminant_form(_lattice_of(*triple)).orders
+
+
+def test_invariant_factors_read_the_even_gram():
+    """The factors are those of [[2a, b], [b, 2c]], not of the binary form
+    (a, b, c): the two gcds differ when b is even."""
+    cases = {
+        (1, 0, 1): (2, 2),  # diag(2, 2)
+        (1, 2, 3): (2, 4),  # [[2, 2], [2, 6]]
+        (-1, 0, -3): (2, 6),  # diag(-2, -6)
+        (2, 4, 0): (4, 4),  # 4 [[1, 1], [1, 0]]
+        (1, 1, -3): (13,),  # gcd 1 either way
+    }
+    for triple, orders in cases.items():
+        assert _invariant_factors(triple) == orders
+        assert discriminant_form(_lattice_of(*triple)).orders == orders
 
 
 def test_search_agrees_on_every_candidate_form():
@@ -254,6 +279,32 @@ def test_sweep_equals_reference_sweep():
     assert nonempty
 
 
+def test_sweep_equals_reference_sweep_on_ur():
+    for r in range(3, 61):
+        form = discriminant_form(U(r))
+        query = GenusQuery((1, 1), form, r * r + 1)
+        assert genus_representatives_rank2(query) == reference_genus_representatives_rank2(query)
+
+
+def test_sweep_equals_reference_sweep_on_the_hyperbolic_forms():
+    """The 320 indefinite [[2a, b], [b, 2c]] with a = 1..12, b = 0..12,
+    c = -13..-1 and |det| <= 80, each in the sweep of its own form."""
+    lattices = [
+        EvenLattice(((2 * a, b), (b, 2 * c)))
+        for a in range(1, 13)
+        for b in range(13)
+        for c in range(-13, 0)
+        if b * b - 4 * a * c <= 80
+    ]
+    assert len(lattices) == 320
+    for lattice in lattices:
+        form = discriminant_form(lattice)
+        query = GenusQuery(signature(lattice), form, max(form.order(), form.exponent()) + 1)
+        got = genus_representatives_rank2(query)
+        assert got == reference_genus_representatives_rank2(query)
+        assert any(equivalent_rank2(rep, lattice) is not None for rep in got)
+
+
 # --- one O(A_M) per ur_example, no form for a filtered candidate ---------------
 
 
@@ -281,14 +332,24 @@ def test_ur_example_builds_one_aut_group_per_member(monkeypatch, r):
         candidates.extend(out)
         return out
 
+    lattices = []
+    real_lattice_of = genus._lattice_of
+
+    def lattice_spy(*triple):
+        lattices.append(real_lattice_of(*triple))
+        return lattices[-1]
+
     monkeypatch.setattr(counting, "aut_group", aut_spy)
     monkeypatch.setattr(genus, "discriminant_form", form_spy)
     monkeypatch.setattr(genus, "_indefinite_candidates", candidates_spy)
+    monkeypatch.setattr(genus, "_lattice_of", lattice_spy)
     report = ur_example(r)
     assert report.passed
     members = [EvenLattice(gram) for gram in report.genus_classes]
     assert aut_calls == [discriminant_form(m) for m in members]
     target = discriminant_form(U(r)).orders
-    assert built and candidates
+    assert built and candidates and lattices
     assert all(discriminant_form(lattice).orders == target for lattice in built)
-    assert any(discriminant_form(c).orders != target for c in candidates)
+    # only candidates with the target's orders become lattices
+    assert all(discriminant_form(lattice).orders == target for lattice in lattices)
+    assert any(discriminant_form(_lattice_of(*c)).orders != target for c in candidates)
