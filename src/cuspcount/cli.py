@@ -40,7 +40,9 @@ SCHEMA_VERSION = "1"
 
 # --- lattice expression parsing -------------------------------------------
 
-_NAMES_WITH_PARAM = {"U", "A", "D"}
+# the largest rank a lattice spec may sum to, checked before any Gram row is
+# built: A(n), D(n) and diag(...) are n x n, and no command needs rank 64
+MAX_SPEC_RANK = 64
 
 
 def parse_lattice_spec(text: str, root_convention: str = "neg") -> EvenLattice:
@@ -48,7 +50,8 @@ def parse_lattice_spec(text: str, root_convention: str = "neg") -> EvenLattice:
 
     Grammar: expr := term ('+' term)*;
              term := NAME ['(' INT ')'] | 'diag(' INT (',' INT)* ')'.
-    Whitespace-insensitive; errors carry the byte offset.
+    Whitespace-insensitive; errors carry the byte offset.  A spec of total
+    rank above MAX_SPEC_RANK is refused before any term is built.
     """
     pos = 0
     n = len(text)
@@ -102,25 +105,30 @@ def parse_lattice_spec(text: str, root_convention: str = "neg") -> EvenLattice:
         if name == "diag":
             if not params:
                 raise ParseError("diag needs entries", start)
-            return named_lattice("diag", params, root_convention)
+            return name, params, len(params)
         if name == "E8":
             if params:
                 raise ParseError("E8 takes no parameters", start)
-            return named_lattice("E8", (), root_convention)
-        if name in _NAMES_WITH_PARAM:
-            return named_lattice(name, params, root_convention)
+            return name, params, 8
+        if name == "U":
+            return name, params, 2
+        if name in ("A", "D"):  # named_lattice checks n
+            return name, params, max(params[0], 0) if len(params) == 1 else 0
         raise ParseError(f"unknown lattice name {name!r}", start)
 
     skip_ws()
-    result = read_term()
+    terms = [read_term()]
     skip_ws()
     while pos < n:
         if text[pos] != "+":
             raise ParseError("expected '+' between terms", pos)
         pos += 1
-        result = direct_sum(result, read_term())
+        terms.append(read_term())
         skip_ws()
-    return result
+    rank = sum(term_rank for _, _, term_rank in terms)
+    if rank > MAX_SPEC_RANK:
+        raise BadParams(f"the lattice has rank {rank}, above the cap {MAX_SPEC_RANK}")
+    return functools.reduce(direct_sum, (named_lattice(name, params, root_convention) for name, params, _ in terms))
 
 
 def load_lattice_file(path: str) -> EvenLattice:
@@ -199,11 +207,10 @@ def _cmd_disc(args, lattice) -> dict:
 
 def _cmd_aut(args, lattice) -> dict:
     form = discriminant_form(lattice)
-    group = aut_group(form, budget=args.budget, method=args.method)
+    group = aut_group(form, budget=args.budget)
     return {
         "invariant_factors": list(form.orders),
         "order": group.order(),
-        "method": args.method,
         "elements": [[list(row) for row in iso.matrix] for iso in group.elements],
     }
 
@@ -391,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", parents=[common], help="full automorphism group of the discriminant form")
     p.add_argument("lattice")
-    p.add_argument("--method", choices=("primary", "direct"), default="primary")
     p.set_defaults(handler=_cmd_aut)
 
     p = sub.add_parser("isogenus", parents=[common], help="decide isogeny of two lattices")

@@ -6,7 +6,9 @@ q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z.  A form is read, and built by hand,
 through exact Fractions in canonical residues (q in [0,2), b in [0,1));
 inside it holds integer numerators over the exponent N, q * N mod 2N and
 b * N mod N.  The discriminant form of a lattice is computed in those
-integers, and every validation, enumeration and search loop works on them.
+integers, and every validation, enumeration and search loop works on them;
+overlattice lifts a class as N times its dual vector, an integer row.
+O(A, q) has one route, aut_group's stabilizer chain of each p-primary block.
 
 The O(A, q) search tests b with one integer product.  A candidate x
 carries P(x), its coordinates x_t in w-bit fields t, and R(x), its pairing
@@ -271,19 +273,7 @@ class FiniteQuadraticForm(_Frozen):
 
     def _qn(self, x) -> int:
         """N * q(x) mod 2N."""
-        qs, bs = self._q, self._b
-        k = len(qs)
-        total = 0
-        for i in range(k):
-            xi = x[i]
-            if xi:
-                row = bs[i]
-                t = xi * qs[i]
-                for j in range(i + 1, k):
-                    if x[j]:
-                        t += 2 * x[j] * row[j]
-                total += xi * t
-        return total % (2 * self._n)
+        return self._qn_paired(x, self._pairing(x))
 
     def _pairing(self, x) -> tuple:
         """The integer row x^T B, so that N * b(x, y) = x^T B y mod N."""
@@ -317,18 +307,6 @@ class _DiscData(_Frozen):
         self, lattice: EvenLattice, form: FiniteQuadraticForm, dvec: tuple, keep: tuple, u: Matrix, v: Matrix
     ):
         self._assign(lattice, form, dvec, keep, u, v)
-
-    def lift(self, element) -> tuple:
-        """Rational L-coordinates of a representative in the dual lattice."""
-        n = self.lattice.rank
-        out = [Fraction(0)] * n
-        for pos, idx in enumerate(self.keep):
-            c = element[pos]
-            if c:
-                d = self.dvec[idx]
-                for row in range(n):
-                    out[row] += Fraction(c * self.v[row][idx], d)
-        return tuple(out)
 
     @functools.cached_property
     def ug(self) -> Matrix:
@@ -665,14 +643,6 @@ def _place_images(pack, candidates, gen_b, images):
             images.pop()
 
 
-def _aut_direct(form: FiniteQuadraticForm) -> list:
-    candidates = _candidates(form, [range(d) for d in form.orders], form.orders, form._q)
-    return [
-        FqfIsometry.from_images(form, images)
-        for images in _place_images(form._pack, candidates, form._b, [])
-    ]
-
-
 class _Block(NamedTuple):
     """The search set-up of one p-primary block (see _primary_blocks)."""
 
@@ -916,29 +886,21 @@ class _FullGroup(FqfSubgroup):
         return self.form == other.form and other.order() == self.order()
 
 
-def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None, method: str = "primary") -> FqfSubgroup:
-    """Full O(A, q).
-
-    method="primary" keeps a stabilizer chain of each p-primary block
+def aut_group(form: FiniteQuadraticForm, budget: Optional[int] = None) -> FqfSubgroup:
+    """Full O(A, q), as a stabilizer chain of each p-primary block
     (_FullGroup): its order is the product of the transversal sizes, by
     orbit and stabilizer, and its membership needs no element; the elements
     are built as products of transversal elements when they are read.
-    method="direct" enumerates generator images on the whole group.  Both
-    have the same elements; the direct route exists as a cross-check.
 
-    The primary route builds its elements with FqfIsometry._certified.  A
-    transversal element is a search leaf: it matched element orders, q and
-    every pairwise b, so it is a well-defined map on A_p that keeps b; b is
+    The elements are built with FqfIsometry._certified.  A transversal
+    element is a search leaf: it matched element orders, q and every
+    pairwise b, so it is a well-defined map on A_p that keeps b; b is
     nondegenerate, so it is injective and an automorphism of A_p.  Direct
     sums and products of such maps are automorphisms of A; each generator
     is still asserted to keep q and b, and no two elements to be equal.
     """
     _check_budget(form.order(), budget)
-    if method == "direct":
-        return FqfSubgroup(form, tuple(sorted(set(_aut_direct(form)), key=lambda iso: iso.matrix)))
-    if method == "primary":
-        return _FullGroup(form, [_stabilizer_chain(form, block) for block in _primary_blocks(form, form)])
-    raise ValueError(f"unknown method {method!r}")
+    return _FullGroup(form, [_stabilizer_chain(form, block) for block in _primary_blocks(form, form)])
 
 
 def natural_map(lattice: EvenLattice, isometry) -> FqfIsometry:
@@ -1010,35 +972,34 @@ def isotropic_subgroups(form: FiniteQuadraticForm, order: int, budget: Optional[
 
 
 def overlattice(lattice: EvenLattice, subgroup) -> EvenLattice:
-    """Even overlattice of L defined by an isotropic subgroup of A_L."""
+    """Even overlattice of L defined by an isotropic subgroup of A_L.
+
+    With N the exponent, N L' is spanned by the rows N e_i and, per class x
+    of the subgroup, the integer row N sum_a x_a g_a = sum_a x_a (N / d_a)
+    v_a; its Hermite basis, divided by N, is a basis of L'."""
     data = _disc_data(lattice)
     form = data.form
     elems = _span_elements(form, [form.reduce(x) for x in subgroup])
     for x in elems:
         if form._qn(x):
             raise NotIsotropic(f"q({x}) != 0; the subgroup is not isotropic")
-    n = lattice.rank
-    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for x in sorted(elems):
-        if x != form.zero():
-            rows.append(list(data.lift(x)))
-    denom = 1
-    for row in rows:
-        for val in row:
-            denom = lcm(denom, Fraction(val).denominator)
-    int_rows = [[int(Fraction(val) * denom) for val in row] for row in rows]
-    hnf = intmat.hnf_rows(intmat.freeze(int_rows))
-    if len(hnf) != n:
+    n, big = lattice.rank, form.exponent()
+    # row r of V on the kept columns a, each entry times N / d_a
+    v_rows = [tuple(big // data.dvec[idx] * row[idx] for idx in data.keep) for row in data.v]
+    rows = [tuple(big * e for e in unit) for unit in intmat.identity(n)]
+    rows += [tuple(sum(map(operator.mul, x, vr)) for vr in v_rows) for x in elems]
+    basis = intmat.hnf_rows(rows)
+    if len(basis) != n:
         raise AssertionError("overlattice basis lost rank")
-    basis_cols = [tuple(Fraction(hnf[i][j], denom) for j in range(n)) for i in range(n)]
     gram = []
-    for i in range(n):
+    for u in basis:
+        gu = intmat.matvec(lattice.gram, u)
         row = []
-        for j in range(n):
-            val = lattice.pair(basis_cols[i], basis_cols[j])
-            if Fraction(val).denominator != 1:
+        for w in basis:
+            val, rest = divmod(sum(map(operator.mul, gu, w)), big * big)
+            if rest:
                 raise NotIsotropic("overlattice pairing is not integral")
-            row.append(int(val))
+            row.append(val)
         gram.append(row)
     result = EvenLattice(intmat.freeze(gram))
     if abs(lattice.det()) != len(elems) ** 2 * abs(result.det()):

@@ -12,6 +12,10 @@ square (math.isqrt) gives its integer roots in ascending t, a double root
 once.  A vector found gets G v from G y and two columns of G in O(n)
 additions, which re-checks its norm and gives its divisor.
 
+A hyperbolic splitting through a divisor-1 vector l pairs it with the
+partner read off the first row of the Hermite form of the rows (G l, e_i),
+in time polynomial in the rank; transvect uses it when no m is given.
+
 The queries on one lattice share their work.  enumerate_isotropic and
 section_vector read one lazy window per (Gram, h), which advances the scan
 only as far as its furthest reader has gone, and quotient_lattice keeps its
@@ -23,7 +27,6 @@ failure raises it, and every later call scans again.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import threading
@@ -280,28 +283,11 @@ def _as_vector(lattice, l):
 
 
 def _find_dual_partner(lattice: EvenLattice, l):
-    """First m' with (l, m') = 1 in expanding lexicographic boxes of height
-    at most 3, else one built by extended gcd."""
+    """An m' with (l, m') = 1, for l of divisor 1: the first row of the
+    Hermite form of the rows (w_i, e_i), w = G l, is (gcd(w), x) = (1, x),
+    a combination of them, so (l, x) = w . x = 1."""
     w = intmat.matvec(lattice.gram, l)
-    n = lattice.rank
-    for height in (1, 2, 3):
-        for coords in itertools.product(range(-height, height + 1), repeat=n):
-            if max(abs(x) for x in coords) != height:
-                continue
-            if sum(a * b for a, b in zip(w, coords)) == 1:
-                return tuple(coords)
-    # xgcd fallback: combine coordinates until the pairing ideal reaches 1
-    coeffs = [0] * n
-    g = 0
-    for i, wi in enumerate(w):
-        gnew, x, y = intmat.xgcd(g, wi)
-        for j in range(i):
-            coeffs[j] *= x
-        coeffs[i] = y
-        g = gnew
-    if g != 1:
-        raise DivisorNotOne(f"div = {g}, no dual partner exists")
-    return tuple(coeffs)
+    return intmat.hnf_rows([(wi, *unit) for wi, unit in zip(w, intmat.identity(len(w)))])[0][1:]
 
 
 def hyperbolic_completion(lattice: EvenLattice, l) -> HyperbolicSplit:

@@ -405,13 +405,8 @@ def is_primitive(lattice: EvenLattice, v) -> bool:
     return intmat.vec_gcd(v) == 1
 
 
-def orthogonal_complement(lattice: EvenLattice, emb: Embedding, allow_degenerate: bool = False):
-    """(S^perp as EvenLattice, its embedding).
-
-    With allow_degenerate=True the raw (gram, basis) pair is returned even
-    when the restricted form is degenerate (e.g. the complement of an
-    isotropic line contains the line itself).
-    """
+def orthogonal_complement(lattice: EvenLattice, emb: Embedding):
+    """(S^perp as EvenLattice, its embedding)."""
     if emb.target != lattice:
         raise NotPrimitive("embedding targets a different lattice")
     if not emb.is_primitive():
@@ -419,15 +414,9 @@ def orthogonal_complement(lattice: EvenLattice, emb: Embedding, allow_degenerate
     pairing_rows = intmat.matmul(intmat.transpose(emb.matrix), lattice.gram)
     basis = intmat.kernel_basis(pairing_rows)
     gram = restricted_gram(lattice, basis)
-    degenerate = intmat.shape(gram)[0] > 0 and intmat.det(gram) == 0
-    if degenerate:
-        if not allow_degenerate:
-            raise DegenerateSublattice("restricted form on the complement is degenerate")
-        return gram, basis
-    complement = EvenLattice(gram)
-    if allow_degenerate:
-        return gram, basis
-    return complement, Embedding(lattice, basis)
+    if intmat.shape(gram)[0] > 0 and intmat.det(gram) == 0:
+        raise DegenerateSublattice("restricted form on the complement is degenerate")
+    return EvenLattice(gram), Embedding(lattice, basis)
 
 
 def smith_normal_form(mat):

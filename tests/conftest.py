@@ -7,7 +7,15 @@ from math import isqrt, lcm
 import pytest
 
 from cuspcount import genus, intmat
-from cuspcount.discriminant import FiniteQuadraticForm, FqfIsometry, FqfSubgroup, _group_tables, _p_valuation
+from cuspcount.discriminant import (
+    FiniteQuadraticForm,
+    FqfIsometry,
+    FqfSubgroup,
+    _disc_data,
+    _group_tables,
+    _p_valuation,
+    _span_elements,
+)
 from cuspcount.errors import LatticeError, NotRank2
 from cuspcount.lattices import direct_sum, make_lattice, named_lattice, signature
 
@@ -336,6 +344,12 @@ def reference_full_group(form) -> list:
     )
 
 
+def reference_full_subgroup(form) -> FqfSubgroup:
+    """reference_full_group as a subgroup, each element validated: for the
+    checks that need ==, hash or is_subgroup_of."""
+    return FqfSubgroup(form, tuple(FqfIsometry(form, m) for m in reference_full_group(form)))
+
+
 def reference_subgroup(form, generators) -> FqfSubgroup:
     """The closure of the generators under intmat.matmul, each new product
     built through the validating FqfIsometry constructor: the route
@@ -371,6 +385,37 @@ def reference_form_tables(lattice) -> tuple:
         for va, da in zip(lifts, dkeep)
     )
     return tuple(dkeep), q_diag, b_mat
+
+
+def reference_lift(data, element) -> tuple:
+    """Rational L-coordinates of sum_a x_a v_a / d_a, the dual vector that
+    represents the class x, from the _disc_data of a lattice."""
+    n = data.lattice.rank
+    out = [Fraction(0)] * n
+    for c, idx in zip(element, data.keep):
+        for row in range(n):
+            out[row] += Fraction(c * data.v[row][idx], data.dvec[idx])
+    return tuple(out)
+
+
+def reference_overlattice(lattice, subgroup):
+    """The overlattice through Fraction lifts: the unit rows and the lift of
+    each class of the span, cleared by the lcm of their denominators,
+    Hermite-reduced and divided back; the route overlattice took before it
+    lifted in integers."""
+    data = _disc_data(lattice)
+    form = data.form
+    elems = _span_elements(form, [form.reduce(x) for x in subgroup])
+    assert not any(form._qn(x) for x in elems)
+    n = lattice.rank
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows += [list(reference_lift(data, x)) for x in sorted(elems) if x != form.zero()]
+    denom = lcm(1, *(val.denominator for row in rows for val in row))
+    hnf = intmat.hnf_rows(intmat.freeze([[int(val * denom) for val in row] for row in rows]))
+    basis = [[Fraction(val, denom) for val in row] for row in hnf]
+    gram = [[lattice.pair(u, w) for w in basis] for u in basis]
+    assert all(Fraction(val).denominator == 1 for row in gram for val in row)
+    return make_lattice([[int(val) for val in row] for row in gram])
 
 
 def reference_validate(orders, q_diag, b_mat) -> tuple:

@@ -1,16 +1,16 @@
-"""The primary route of aut_group certifies its elements on their
-generators: the p-primary searches find the transversal elements, each
-generator is checked for q and b, and the products are built without
-FqfIsometry's validation.  These tests compare it with the direct route,
-validate every element in full again, pin that the route validates none
-itself, and break one transversal element to see the construction-time and
-read-time checks fire.
+"""aut_group certifies its elements on their generators: the p-primary
+searches find the transversal elements, each generator is checked for q and
+b, and the products are built without FqfIsometry's validation.  These
+tests compare it with the full enumeration of each block
+(conftest.reference_full_group), validate every element in full again, pin
+that the route validates none itself, and break one transversal element to
+see the construction-time and read-time checks fire.
 """
 
 import functools
 
 import pytest
-from conftest import negated
+from conftest import negated, reference_full_subgroup
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,16 +31,16 @@ def form_of(label, negate):
 
 
 @functools.cache
-def direct_elements(label, negate):
-    return aut_group(form_of(label, negate), method="direct").elements
+def reference_elements(label, negate):
+    return reference_full_subgroup(form_of(label, negate)).elements
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.sampled_from(LABELS), st.booleans())
-def test_primary_route_matches_direct_and_validates(label, negate):
+def test_primary_route_matches_the_reference_and_validates(label, negate):
     form = form_of(label, negate)
     group = aut_group(form)
-    assert group.elements == direct_elements(label, negate)
+    assert group.elements == reference_elements(label, negate)
     for iso in group.elements:
         again = FqfIsometry(form, iso.matrix)  # full validation
         assert again == iso
@@ -61,8 +61,8 @@ def test_primary_route_validates_no_element(label, monkeypatch):
     group = aut_group(form)
     group.elements
     assert validated == []
-    assert group.order() == len(aut_group(form, method="direct").elements)
-    assert validated  # the direct route still validates each element
+    assert group.order() == len(reference_full_subgroup(form).elements)
+    assert validated  # the reference still validates each element
 
 
 def _patch_first_level(monkeypatch, edit):

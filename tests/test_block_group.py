@@ -3,7 +3,8 @@ p-primary block.
 
 Its order, membership and containment are read from the chains, and its
 elements are built as products and stitched on first read.  These tests
-compare that group with its materialised copy and with the direct route,
+compare that group with its materialised copy and with the full enumeration
+of each block (conftest.reference_full_group),
 check that the counting paths of generic models build no element, and check
 the direct mu_1 lift test against the induced map it replaced.
 """
@@ -14,7 +15,7 @@ import random
 from math import gcd
 
 import pytest
-from conftest import U, corpus, negated, random_unimodular
+from conftest import U, corpus, negated, random_unimodular, reference_full_group, reference_full_subgroup
 from test_aut_certified import _patch_first_level
 from test_fqf_products import SCALAR_RICH, SMALL, TIERS, scalar_isometries
 
@@ -55,12 +56,12 @@ def _other_form(form):
 @pytest.mark.parametrize("label,form", FORMS, ids=[label for label, _ in FORMS])
 def test_order_and_membership_match_the_materialised_group(label, form):
     lazy = aut_group(form)
-    direct = aut_group(form, method="direct")
+    reference = reference_full_subgroup(form)
     pm, one = plus_minus_subgroup(form), trivial_subgroup(form)
     order = lazy.order()
-    assert all(iso in lazy for iso in direct.elements)
+    assert all(iso in lazy for iso in reference.elements)
     assert pm.is_subgroup_of(lazy) and one.is_subgroup_of(lazy)
-    assert lazy.is_subgroup_of(direct) and direct.is_subgroup_of(lazy)
+    assert lazy.is_subgroup_of(reference) and reference.is_subgroup_of(lazy)
     assert lazy.is_subgroup_of(pm) is (pm.order() == order)
     other = _other_form(form)
     if other is not None:
@@ -69,10 +70,10 @@ def test_order_and_membership_match_the_materialised_group(label, form):
     assert "elements" not in vars(lazy)  # nothing above stitched
 
     materialised = FqfSubgroup(form, lazy.elements)
-    assert order == len(lazy.elements) == direct.order() == materialised.order()
-    assert lazy.elements == direct.elements
-    assert lazy == materialised == direct and hash(lazy) == hash(direct)
-    for sub in (pm, one, lazy, direct):
+    assert order == len(lazy.elements) == reference.order() == materialised.order()
+    assert lazy.elements == reference.elements
+    assert lazy == materialised == reference and hash(lazy) == hash(reference)
+    for sub in (pm, one, lazy, reference):
         assert sub.is_subgroup_of(lazy) is sub.is_subgroup_of(materialised)
         assert lazy.is_subgroup_of(sub) is materialised.is_subgroup_of(sub)
     if other is not None:
@@ -100,7 +101,7 @@ def test_order_route_matches_the_sweep_on_the_materialised_group(label):
 @pytest.mark.parametrize("label", ["U(6)", "U(2)+U(6)", "U(2)+U(4)"])
 def test_dropping_a_transversal_element_changes_the_order(label, monkeypatch):
     form = discriminant_form(parse_lattice_spec(label))
-    want = aut_group(form, method="direct").order()
+    want = len(reference_full_group(form))
     assert aut_group(form).order() == want
     _patch_first_level(monkeypatch, lambda level: level[:-1])
     assert aut_group(form).order() != want

@@ -3,11 +3,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
+from conftest import reference_full_group
 
-from cuspcount.cli import build_parser, lattice_from_arg, main, parse_lattice_spec
+from cuspcount.cli import MAX_SPEC_RANK, build_parser, lattice_from_arg, main, parse_lattice_spec
+from cuspcount.discriminant import discriminant_form
 from cuspcount.errors import BadParams, ParseError
 from cuspcount.lattices import direct_sum, named_lattice
 
@@ -52,6 +55,33 @@ class TestParse:
 
     def test_negative_diag_entries(self):
         assert parse_lattice_spec("diag(-2,4)").gram == ((-2, 0), (0, 4))
+
+    def test_rank_at_the_cap(self):
+        assert parse_lattice_spec(f"U+U+A({MAX_SPEC_RANK - 4})").rank == MAX_SPEC_RANK
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "A(99999999999)",
+            "A(100000)",
+            "D(100000)",
+            "diag(" + ",".join(["2"] * (MAX_SPEC_RANK + 1)) + ")",
+            f"U+U+A({MAX_SPEC_RANK - 3})",
+            "A(100000)+A(-100000)",
+        ],
+    )
+    def test_rank_above_the_cap_exits_2_at_once(self, capsys, spec):
+        start = time.perf_counter()
+        code, out = run_cli("disc", spec)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert f"above the cap {MAX_SPEC_RANK}" in capsys.readouterr().err
+        assert elapsed < 0.1
+
+    def test_oversized_term_before_a_syntax_error_exits_2(self, capsys):
+        code, out = run_cli("genus", "--sign", "1,1", "--bound", "5", "--disc", "A(+099999999999)-A2")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "cuspcount: expected '+' between terms (at offset 16)\n"
 
     def test_root_convention_flag(self):
         code, out = run_cli("disc", "A(2)", "--root-convention", "pos")
@@ -140,6 +170,27 @@ class TestCommands:
         assert code == 0
         assert report["fixes_l"] is True
         assert report["trivial_on_discriminant"] is True
+
+    def test_transvect_without_m_splits_along_the_hermite_partner(self):
+        code, out = run_cli("transvect", "U+U", "--l", "0,1,0,0", "--v", "0,0,1,1")
+        assert code == 0
+        assert json.loads(out)["m"] == [1, 0, 0, 0]
+        assert out == run_cli("transvect", "U+U", "--l", "0,1,0,0", "--m", "1,0,0,0", "--v", "0,0,1,1")[1]
+
+    @pytest.mark.parametrize("spec", ["U(6)", "U(2)+U(2)", "U(2)+U(6)", "U(3)+U(6)"])
+    def test_aut_elements_are_the_full_enumeration(self, spec):
+        code, out = run_cli("aut", spec)
+        report = json.loads(out)
+        want = reference_full_group(discriminant_form(parse_lattice_spec(spec)))
+        assert code == 0 and "method" not in report
+        assert report["order"] == len(want)
+        assert report["elements"] == [[list(row) for row in matrix] for matrix in want]
+
+    def test_aut_has_no_method_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["aut", "U(6)", "--method", "direct"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --method direct" in capsys.readouterr().err
 
     def test_classify_i1(self):
         code, out = run_cli("classify-i1", "U+U(3)", "--bound", "2")

@@ -3,7 +3,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import U, classify, diag, negated, random_even_lattice, sums
+from conftest import (
+    U,
+    classify,
+    diag,
+    negated,
+    random_even_lattice,
+    random_unimodular,
+    reference_full_group,
+    reference_overlattice,
+    sums,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +47,7 @@ from cuspcount.lattices import (
     Embedding,
     EvenLattice,
     LatticeIsometry,
+    make_lattice,
     orthogonal_complement,
     signature,
 )
@@ -94,12 +105,11 @@ class TestAutGroup:
     def test_u3(self):
         assert aut_group(discriminant_form(U(3))).order() == 4
 
-    def test_u12_both_methods(self):
+    def test_u12_matches_the_reference(self):
         form = discriminant_form(U(12))
-        primary = aut_group(form, method="primary")
-        direct = aut_group(form, method="direct")
+        primary = aut_group(form)
         assert primary.order() == 16
-        assert set(primary.elements) == set(direct.elements)
+        assert [iso.matrix for iso in primary.elements] == reference_full_group(form)
 
     def test_group_axioms_and_q_preservation(self):
         form = discriminant_form(U(6))
@@ -338,6 +348,24 @@ class TestOverlattice:
                     over = overlattice(lattice, sub)
                     assert abs(lattice.det()) == order * order * abs(over.det())
 
+    def test_integer_lift_equals_the_fraction_reference(self, corpus_lattices, rng):
+        # each lattice also in a random basis, so that V is not the identity
+        checked = 0
+        for lattice in corpus_lattices:
+            form = discriminant_form(lattice)
+            if form.order() > 64:
+                continue
+            u = random_unimodular(lattice.rank, rng, 4)
+            moved = make_lattice(intmat.matmul(intmat.matmul(intmat.transpose(u), lattice.gram), u))
+            for latt in (lattice, moved):
+                form = discriminant_form(latt)
+                for order in range(1, form.order() + 1):
+                    if form.order() % order == 0:
+                        for sub in isotropic_subgroups(form, order):
+                            assert overlattice(latt, sub) == reference_overlattice(latt, sub)
+                            checked += 1
+        assert checked > 100
+
 
 class TestIsogeny:
     def test_isometric_blocks(self):
@@ -563,10 +591,9 @@ class TestAutGroupOnHandBuiltForms:
             orders, tuple(map(Fraction, q_diag)), tuple(tuple(map(Fraction, r)) for r in b_rows)
         )
         want = _brute_force_aut_order(form)
-        primary = aut_group(form, method="primary")
-        direct = aut_group(form, method="direct")
+        primary = aut_group(form)
         assert primary.order() == want
-        assert set(primary.elements) == set(direct.elements)
+        assert [iso.matrix for iso in primary.elements] == reference_full_group(form)
         assert fqf_isomorphism(form, form) is not None
 
 

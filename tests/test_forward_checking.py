@@ -47,7 +47,7 @@ from cuspcount.discriminant import (
 from cuspcount.errors import LatticeError
 from cuspcount.lattices import make_lattice
 from test_discriminant import consistent_tables
-from test_fqf_integer import even_grams
+from test_fqf_integer import even_grams, reference_q
 from test_fqf_products import TIERS
 
 FQF_GROUPS_TIERS = TIERS[:10]  # TIERS adds U(3)+U(3) to the ten
@@ -122,19 +122,13 @@ def test_search_yields_the_node_checked_sequence(pair):
         assert list(_place_images(target._pack, block.candidates, block.gen_b, [])) == want
         firsts.append(want[0])  # the forms are isomorphic
     assert witness == _combine([_contribution(b, s, target) for b, s in zip(blocks, firsts)], target.orders)
-    pool = sorted(form.elements())
-    direct = [
-        FqfIsometry.from_images(form, images).matrix
-        for images in reference_image_assignments(form, pool, form.orders, form._q, form._b)
-    ]
-    assert [iso.matrix for iso in aut_group(form, method="direct").elements] == sorted(direct)
 
 
 @SETTINGS
 @given(form_pairs())
 def test_block_pools_are_the_sorted_spans(pair):
     form = pair[0]
-    calls, _ = _set_ups(lambda: aut_group(form, method="primary"))
+    calls, _ = _set_ups(lambda: aut_group(form))
     ((_, blocks),) = calls
     pools = [list(itertools.product(*block.axes)) for block in blocks]
     orders = form.orders
@@ -164,8 +158,11 @@ def test_chain_elements_are_the_full_enumeration(pair):
 @given(form_pairs())
 def test_q_from_the_pairing_row(pair):
     form = pair[0]
+    n, q_diag, b_mat = form.exponent(), form.q_diag, form.b_mat
     for x in form.elements():
-        assert form._qn_paired(x, form._pairing(x)) == form._qn(x)
+        qn = form._qn_paired(x, form._pairing(x))
+        assert qn == reference_q(q_diag, b_mat, x) * n
+        assert form._qn(x) == qn
 
 
 @pytest.mark.parametrize("lattice", corpus(), ids=repr)

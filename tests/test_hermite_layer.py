@@ -5,10 +5,12 @@ compared with the code they replaced, kept here only as oracles: the inverse
 as one integer solve per unit column (through the Fraction reference solve
 of test_integer_layer), and the rank and primitivity rules as read off the
 Smith diagonal.  Each input must give the same matrix, or be accepted or
-rejected alike with the same exception.  The xgcd fallback of the dual
-partner search, and the rank-0 complement that the solver now handles
-without special cases, are pinned on explicit lattices.
+rejected alike with the same exception.  The dual partner read off the
+Hermite form, and the rank-0 complement that the solver now handles without
+special cases, are pinned on explicit lattices.
 """
+
+import time
 
 import pytest
 from conftest import U, smith_diagonal, sums
@@ -212,11 +214,18 @@ def test_isotropic_plane_matches_smith_rule(pair, coeffs):
             IsotropicPlane(lattice, (v1, v2))
 
 
-# --- the xgcd fallback of the dual partner search -----------------------------
+# --- the dual partner from the Hermite form -----------------------------------
 
 # U in the basis P = [[10, 13], [13, 17]]: l = (17, -13) is isotropic with
-# G l = (13, 17), and no m with |coords| <= 3 has 13 m_1 + 17 m_2 = 1
+# G l = (13, 17), and no m with |coords| <= 3 has 13 m_1 + 17 m_2 = 1.  The
+# Hermite form of the rows (13, 1, 0) and (17, 0, 1) starts with (1, 4, -3).
 P_GRAM = ((260, 339), (339, 442))
+
+
+def _p_sum(blocks: int) -> tuple:
+    """The Gram matrix of P + P + ... with `blocks` summands."""
+    n = 2 * blocks
+    return tuple(tuple(P_GRAM[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(n)) for i in range(n))
 
 
 def _check_split(split: HyperbolicSplit, l):
@@ -227,10 +236,10 @@ def _check_split(split: HyperbolicSplit, l):
     assert abs(intmat.det(split.basis_matrix())) == 1
 
 
-def test_xgcd_fallback_rank_two():
+def test_hermite_partner_rank_two():
     lattice = make_lattice(P_GRAM)
     l = (17, -13)
-    assert max(abs(x) for x in _find_dual_partner(lattice, l)) > 3
+    assert _find_dual_partner(lattice, l) == (4, -3)
     split = hyperbolic_completion(lattice, l)
     _check_split(split, l)
     assert split.e_image == (-13, 10)
@@ -245,13 +254,10 @@ def test_xgcd_fallback_rank_two():
     assert (h.matrix, v) == ((), (0, 0))
 
 
-def test_xgcd_fallback_rank_four():
-    gram = tuple(
-        tuple(P_GRAM[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(4)) for i in range(4)
-    )
-    lattice = make_lattice(gram)
+def test_hermite_partner_rank_four():
+    lattice = make_lattice(_p_sum(2))
     l = (17, -13, 0, 0)
-    assert max(abs(x) for x in _find_dual_partner(lattice, l)) > 3
+    assert _find_dual_partner(lattice, l) == (4, -3, 0, 0)
     split = hyperbolic_completion(lattice, l)
     _check_split(split, l)
     assert split.complement.rank == 2
@@ -260,3 +266,17 @@ def test_xgcd_fallback_rank_four():
         coords = split.in_complement(col)
         assert split.to_ambient(coords) == col
     assert split.in_complement(split.e_image) is None
+
+
+@pytest.mark.parametrize("blocks", [4, 6])
+def test_hermite_partner_at_rank_8_and_12(blocks):
+    # a box search of height 3 walks 7^n points here before it gives up
+    lattice = make_lattice(_p_sum(blocks))
+    l = (17, -13) + (0,) * (2 * blocks - 2)
+    start = time.perf_counter()
+    split = hyperbolic_completion(lattice, l)
+    elapsed = time.perf_counter() - start
+    _check_split(split, l)
+    assert split.e_image == (-13, 10) + (0,) * (2 * blocks - 2)
+    assert split.complement.gram == _p_sum(blocks - 1)
+    assert elapsed < 0.1
