@@ -44,7 +44,7 @@ from .errors import (
     SubgroupNotContained,
 )
 from .intmat import Matrix
-from .lattices import EvenLattice, LatticeIsometry, _Frozen, signature
+from .lattices import EvenLattice, LatticeIsometry, _Frozen, restricted_gram, signature
 
 DEFAULT_BUDGET = 10_000
 # the default window |coords| <= h of the isotropic searches; kept here, not
@@ -991,17 +991,10 @@ def overlattice(lattice: EvenLattice, subgroup) -> EvenLattice:
     basis = intmat.hnf_rows(rows)
     if len(basis) != n:
         raise AssertionError("overlattice basis lost rank")
-    gram = []
-    for u in basis:
-        gu = intmat.matvec(lattice.gram, u)
-        row = []
-        for w in basis:
-            val, rest = divmod(sum(map(operator.mul, gu, w)), big * big)
-            if rest:
-                raise NotIsotropic("overlattice pairing is not integral")
-            row.append(val)
-        gram.append(row)
-    result = EvenLattice(intmat.freeze(gram))
+    scaled = restricted_gram(lattice, intmat.transpose(basis))
+    if any(val % (big * big) for row in scaled for val in row):
+        raise NotIsotropic("overlattice pairing is not integral")
+    result = EvenLattice(tuple(tuple(val // (big * big) for val in row) for row in scaled))
     if abs(lattice.det()) != len(elems) ** 2 * abs(result.det()):
         raise AssertionError("overlattice index law violated")
     return result

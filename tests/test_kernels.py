@@ -14,7 +14,7 @@ Three broken walks are caught by name below: a dropped high-q shift (the
 N a term of a generator with q >= N), a stale prefix pairing row (the cross
 term of two coupled generators left out of q) and max in place of lcm for
 the element order (seen only where one element mixes coprime orders, as on
-the _aut_direct axes of U(6)).
+the whole-group axes of U(6)).
 """
 
 import itertools
@@ -73,7 +73,7 @@ def assert_walk_is_the_scan(form):
         assert unpacked(form, got) == with_coordinates(want)
     axes = [range(d) for d in form.orders]
     want = reference_candidates(form, sorted(form.elements()), form.orders, form._q)
-    got = _candidates(form, axes, form.orders, form._q)  # the _aut_direct lists
+    got = _candidates(form, axes, form.orders, form._q)  # one list per generator of A
     assert unpacked(form, got) == with_coordinates(want)
 
 

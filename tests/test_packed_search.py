@@ -71,7 +71,7 @@ FORMS = _forms()
 
 
 def _assert_search_is_the_reference(form):
-    assert_walk_is_the_scan(form)  # on every block and on the _aut_direct axes
+    assert_walk_is_the_scan(form)  # on every block and on the whole-group axes
     for block in _primary_blocks(form, form):
         assert (block.gen_b, block.gen_q) == reference_block_tables(form, block)
         assert _stabilizer_chain(form, block) == reference_chain(form, block)
